@@ -39,11 +39,6 @@ pub struct LpFormulation {
     r_vars: HashMap<(usize, usize, usize), VarId>,
     /// Per-link α-delay in epochs.
     delta: Vec<usize>,
-    /// Block label of each variable for the Dantzig-Wolfe path: every
-    /// `F`/`B`/`r` column belongs to exactly one commodity source, so the
-    /// builder records the source's index (in its active-source list) as the
-    /// variable is added. Length is exactly `model.num_vars()`.
-    var_block: Vec<usize>,
 }
 
 impl LpFormulation {
@@ -97,10 +92,9 @@ impl LpFormulation {
         let mut f_vars = HashMap::new();
         let mut b_vars = HashMap::new();
         let mut r_vars = HashMap::new();
-        let mut var_block = Vec::new();
 
         // ----- Variables ------------------------------------------------------
-        for (block, &s) in sources.iter().enumerate() {
+        for &s in &sources {
             for link in &topology.links {
                 for k in 0..k_max {
                     let v = model.add_var(
@@ -111,7 +105,6 @@ impl LpFormulation {
                         false,
                     );
                     f_vars.insert((s.0, link.id.0, k), v);
-                    var_block.push(block);
                 }
             }
             for n in topology.gpus() {
@@ -130,7 +123,6 @@ impl LpFormulation {
                     let v =
                         model.add_var(format!("B[{s},{n},{k}]"), 0.0, f64::INFINITY, 0.0, false);
                     b_vars.insert((s.0, n.0, k), v);
-                    var_block.push(block);
                 }
             }
             for d in topology.gpus() {
@@ -145,7 +137,6 @@ impl LpFormulation {
                     let v =
                         model.add_var(format!("r[{s},{d},{k}]"), 0.0, f64::INFINITY, weight, false);
                     r_vars.insert((s.0, d.0, k), v);
-                    var_block.push(block);
                 }
             }
         }
@@ -323,17 +314,7 @@ impl LpFormulation {
             b_vars,
             r_vars,
             delta,
-            var_block,
         })
-    }
-
-    /// The block-angular split of this formulation: one block per active
-    /// commodity source, coupled by the capacity (and buffer-limit) rows.
-    pub fn block_structure(&self) -> Result<teccl_lp::BlockStructure, TeCclError> {
-        Ok(teccl_lp::BlockStructure::infer(
-            &self.model,
-            &self.var_block,
-        )?)
     }
 
     /// Solves the LP.
@@ -363,34 +344,13 @@ impl LpFormulation {
         warm: Option<&teccl_lp::SimplexBasis>,
         budget: Option<&teccl_util::SolveBudget>,
     ) -> Result<Solution, TeCclError> {
-        let structure = self.block_structure()?;
-        let threads = config.threads.max(1);
-        let sol = if teccl_lp::should_decompose(
-            config.decompose,
-            &self.model,
-            &structure,
-            threads,
-            budget,
-        ) {
-            // Dantzig-Wolfe path: one pricing subproblem per commodity
-            // source, priced in parallel. Uncertifiable runs fall back to
-            // the monolithic simplex *inside* the call, so the status map
-            // below sees the same contract either way.
-            let opts = teccl_lp::DecompOptions {
-                threads,
-                ..Default::default()
-            };
-            teccl_lp::solve_decomposed(&self.model, &structure, budget, &opts)?
-        } else {
-            let milp_config = MilpConfig {
-                time_limit: config.time_limit.or(Some(Duration::from_secs(600))),
-                warm_start: config.warm_start,
-                budget: budget.cloned(),
-                threads,
-                ..Default::default()
-            };
-            self.model.solve_with_warm(&milp_config, warm)?
+        let milp_config = MilpConfig {
+            time_limit: config.time_limit.or(Some(Duration::from_secs(600))),
+            warm_start: config.warm_start,
+            budget: budget.cloned(),
+            ..Default::default()
         };
+        let sol = self.model.solve_with_warm(&milp_config, warm)?;
         match sol.status {
             SolveStatus::Infeasible => Err(TeCclError::InfeasibleWithEpochs(self.num_epochs)),
             SolveStatus::Unbounded => Err(TeCclError::NoSolution),

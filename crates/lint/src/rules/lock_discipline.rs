@@ -1,5 +1,5 @@
 //! **lock-discipline** — raw lock primitives are forbidden in
-//! `teccl-service` outside `sync.rs` and in `teccl-lp` outside `par.rs`.
+//! `teccl-service` outside `sync.rs`, and anywhere in `teccl-lp`.
 //!
 //! PR 5 made every service lock poison-recovering (`lock_recover`) and every
 //! condvar wait recovery-aware (`wait_recover`): a worker that panics while
@@ -8,12 +8,8 @@
 //! one refactor that reintroduces a plain `.lock()` elsewhere silently
 //! regresses it. This rule makes that refactor a CI failure.
 //!
-//! The parallel-solver PR extends the same confinement to `teccl-lp`: the
-//! shared node pool, incumbent cell and portfolio racer in
-//! `crates/lp/src/par.rs` are the *only* place the solver may touch raw
-//! `Mutex`/`Condvar` primitives (via its poison-clearing `lock_unpoisoned`).
-//! A raw lock sprinkled into `milp.rs` or `model.rs` would bypass both the
-//! poison recovery and the one-place-to-audit property.
+//! The solver in `teccl-lp` is single-threaded and holds no locks at all,
+//! so any raw `Mutex`/`Condvar` use there is a finding.
 //!
 //! Matched: `.lock()`, `.try_lock()`, `.wait(guard)` (one or more
 //! arguments — `Ticket::wait()` and `Barrier::wait()` take none and are
@@ -24,19 +20,18 @@ use crate::scan::SourceFile;
 
 const RULE: &str = "lock-discipline";
 
-/// True for files this rule audits, with the crate's designated lock module
-/// (the one place raw primitives are allowed) exempted.
+/// True for files this rule audits, with the service's designated lock
+/// module (the one place raw primitives are allowed) exempted.
 fn in_scope(rel: &str) -> bool {
     let service = rel.starts_with("crates/service/") && !rel.ends_with("/sync.rs");
-    let lp = rel.starts_with("crates/lp/") && !rel.ends_with("/par.rs");
-    (service || lp) && rel.ends_with(".rs")
+    (service || rel.starts_with("crates/lp/")) && rel.ends_with(".rs")
 }
 
 /// The crate-appropriate remedy for a raw-primitive finding.
 fn remedy(rel: &str) -> &'static str {
     if rel.starts_with("crates/lp/") {
-        "confine raw Mutex/Condvar use to `par.rs` (its `lock_unpoisoned` \
-         clears poison) so the solver has one audited locking module"
+        "the solver is single-threaded: keep raw Mutex/Condvar out of \
+         teccl-lp"
     } else {
         "use `sync::lock_recover` / `sync::wait_recover` so poisoned locks \
          recover instead of cascading panics"

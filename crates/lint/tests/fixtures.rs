@@ -69,10 +69,10 @@ fn lock_discipline_passes_zero_arg_wait_and_sync_rs() {
     assert!(errors(&o, "lock-discipline").is_empty(), "{:?}", o.errors);
 }
 
-#[test]
-fn lock_discipline_fires_in_lp_outside_par_rs() {
+/// The solver is single-threaded: no file in teccl-lp may touch a raw lock.
+fn assert_lp_lock_fires(file: &str) {
     let o = analyze_snippets(&[(
-        "crates/lp/src/milp.rs",
+        file,
         r##"
 fn steal(&self) -> Node {
     let mut pool = self.pool.lock();
@@ -81,23 +81,24 @@ fn steal(&self) -> Node {
 "##,
     )]);
     let f = errors(&o, "lock-discipline");
-    assert_eq!(f.len(), 1, "{:?}", o.errors);
+    assert_eq!(f.len(), 1, "{file}: {:?}", o.errors);
     assert!(
-        f[0].message.contains("par.rs"),
+        f[0].message.contains("single-threaded"),
         "lp findings must point at the lp remedy: {:?}",
         f[0].message
     );
 }
 
 #[test]
-fn lock_discipline_passes_par_rs() {
-    // par.rs is the lp crate's designated locking module, exactly as sync.rs
-    // is the service's.
-    let o = analyze_snippets(&[(
-        "crates/lp/src/par.rs",
-        "fn raw(m: &M) -> G { m.lock().unwrap_or_else(|p| p.into_inner()) }\n",
-    )]);
-    assert!(errors(&o, "lock-discipline").is_empty(), "{:?}", o.errors);
+fn lock_discipline_fires_in_lp_outside_par_rs() {
+    assert_lp_lock_fires("crates/lp/src/milp.rs");
+}
+
+#[test]
+fn lock_discipline_fires_in_par_rs_too() {
+    // par.rs was once the lp crate's locking module; the name earns no
+    // exemption any more.
+    assert_lp_lock_fires("crates/lp/src/par.rs");
 }
 
 // ---------------------------------------------------------------- lock-order
@@ -312,25 +313,23 @@ fn renumber(&mut self) {
 }
 
 #[test]
-fn budget_coverage_covers_the_parallel_pool_wait_loop() {
-    // par.rs is a designated hot file: a worker parked on the shared node
-    // pool must still observe the budget each wakeup, or a cancelled solve
-    // would wait out its full deadline.
+fn budget_coverage_covers_the_branch_and_bound_node_loop() {
+    // milp.rs is a designated hot file: a node loop that never checks the
+    // budget would let a cancelled MILP run through its whole tree.
     let o = analyze_snippets(&[(
-        "crates/lp/src/par.rs",
+        "crates/lp/src/milp.rs",
         r##"
-fn pop(&self) -> Option<Node> {
-    let mut st = self.lock_state();
-    loop {
-        if let Some(n) = st.heap_pop() { return Some(n); }
-        st = self.park(st);
+fn branch(&self, heap: &mut Heap) {
+    while let Some(node) = heap.pop() {
+        let relax = self.solve_node(&node);
+        self.expand(relax, heap);
     }
 }
 "##,
     )]);
     let f = errors(&o, "budget-coverage");
     assert_eq!(f.len(), 1, "{:?}", o.errors);
-    assert_eq!(f[0].line, 4);
+    assert_eq!(f[0].line, 3);
 }
 
 #[test]

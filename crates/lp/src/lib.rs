@@ -49,12 +49,10 @@
 //! ```
 
 pub mod basis;
-pub mod decomp;
 pub(crate) mod dual;
 pub mod error;
 pub mod milp;
 pub mod model;
-pub mod par;
 pub mod presolve;
 pub mod simplex;
 pub mod solution;
@@ -62,15 +60,9 @@ pub mod sparse;
 pub mod standard;
 
 pub use basis::{LuFactors, SimplexBasis, VarStatus};
-pub use decomp::{
-    should_decompose, solve_decomposed, BlockStructure, DecompOptions, Decompose, DECOMP_MIN_ROWS,
-};
 pub use error::LpError;
 pub use milp::{MilpConfig, MilpSolver};
 pub use model::{ConstraintOp, Model, Sense, VarId};
-pub use par::{
-    race_lp, FirstWin, NodePool, PoolStop, Popped, ScoredNode, SharedBest, RACE_MIN_ROWS,
-};
 pub use simplex::{
     solve_standard_form, solve_standard_form_budgeted, solve_standard_form_from,
     solve_standard_form_with_options, PricingRule, SimplexOptions,

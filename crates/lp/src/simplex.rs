@@ -98,13 +98,6 @@ pub struct SimplexOptions {
     /// so perturbing them would only add a second (pointless) pass;
     /// `usize::MAX` disables the pre-pass entirely.
     pub perturb_min_rows: usize,
-    /// Seed mixed into the deterministic perturbation pattern of the phase-2
-    /// pre-pass. `0` reproduces the historical pattern exactly; the LP
-    /// portfolio race gives each racer a different seed so they walk
-    /// different tie-breaking paths across the same degenerate plateau.
-    /// Correctness never rests on the perturbation (the true-cost pass
-    /// certifies), so any seed yields the same certified optimum.
-    pub perturb_seed: u64,
 }
 
 impl Default for SimplexOptions {
@@ -112,7 +105,6 @@ impl Default for SimplexOptions {
         SimplexOptions {
             pricing: PricingRule::SteepestEdge,
             perturb_min_rows: 64,
-            perturb_seed: 0,
         }
     }
 }
@@ -748,8 +740,7 @@ fn finish_phase2(
     if perturb && m > opts.perturb_min_rows {
         let mut pcost = phase2_cost.clone();
         for (j, c) in pcost.iter_mut().enumerate().take(n) {
-            // XOR keeps seed 0 byte-identical to the historical pattern.
-            let h = ((j as u64) ^ opts.perturb_seed).wrapping_mul(0x9e3779b97f4a7c15);
+            let h = (j as u64).wrapping_mul(0x9e3779b97f4a7c15);
             let r = 1.0 + (h >> 40) as f64 / (1u64 << 24) as f64;
             *c += 1e-7 * r * (1.0 + c.abs());
         }

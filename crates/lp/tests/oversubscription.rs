@@ -1,18 +1,15 @@
-//! Oversubscription smoke test: more worker threads than cores is a *load*
+//! Oversubscription smoke test: more solving threads than cores is a *load*
 //! condition, never a *correctness* condition.
 //!
-//! The dev container this suite must pass on has a single core, so asking
-//! for `threads = 4` oversubscribes it by construction: every parallel path
-//! — branch-and-bound over the shared node pool, the LP portfolio race, and
-//! the Dantzig-Wolfe pricing round — degenerates to heavy time-slicing. The
-//! statuses and objectives must not notice. On bigger machines the same
-//! assertions run with `threads` pinned *above* the detected parallelism, so
-//! the oversubscribed regime is exercised regardless of the host.
+//! A service configured with more workers than the host has cores runs that
+//! many branch-and-bound solves at once. Every one of them, time-sliced
+//! against the others, must report exactly what the lone sequential solve
+//! does. The thread count is pinned *above* the detected parallelism, so the
+//! oversubscribed regime is exercised regardless of the host.
+
+use std::thread;
 
 use teccl_lp::model::{ConstraintOp, Model, Sense};
-use teccl_lp::simplex::solve_standard_form;
-use teccl_lp::standard::StandardForm;
-use teccl_lp::{race_lp, MilpConfig, SolveStatus};
 
 /// Small deterministic LCG so the corpus is stable across runs and platforms.
 struct Lcg(u64);
@@ -102,31 +99,44 @@ fn oversubscribed_threads() -> usize {
 fn oversubscribed_bnb_matches_sequential() {
     let threads = oversubscribed_threads();
     let mut rng = Lcg(0x5_0b5c41be);
+    let models: Vec<Model> = (0..40).map(|_| random_milp(&mut rng)).collect();
+    let solve = |case: usize| {
+        models[case]
+            .solve()
+            .unwrap_or_else(|e| panic!("case {case}: {e}"))
+    };
+    let base: Vec<_> = (0..models.len()).map(solve).collect();
+    // Every thread solves the whole corpus, all of them at once.
+    let runs: Vec<Vec<_>> = thread::scope(|s| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| s.spawn(|| (0..models.len()).map(solve).collect::<Vec<_>>()))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("solver thread panicked"))
+            .collect()
+    });
     let mut solved = 0usize;
-    for case in 0..40 {
-        let m = random_milp(&mut rng);
-        let solve_at = |threads: usize| {
-            m.solve_with(&MilpConfig {
-                threads,
-                ..Default::default()
-            })
-            .unwrap_or_else(|e| panic!("case {case} at {threads} threads: {e}"))
-        };
-        let base = solve_at(1);
-        let over = solve_at(threads);
-        assert_eq!(
-            over.status,
-            base.status,
-            "case {case}: {threads} threads on {} core(s) changed the status",
-            threads - 1
-        );
-        if base.status.has_solution() {
-            assert!(
-                (over.objective - base.objective).abs() < 1e-6,
-                "case {case}: oversubscribed objective {} vs sequential {}",
-                over.objective,
-                base.objective
+    for (case, seq) in base.iter().enumerate() {
+        for run in &runs {
+            let over = &run[case];
+            assert_eq!(
+                over.status,
+                seq.status,
+                "case {case}: {threads} threads on {} core(s) changed the status",
+                threads - 1
             );
+            if seq.status.has_solution() {
+                assert_eq!(
+                    over.objective.to_bits(),
+                    seq.objective.to_bits(),
+                    "case {case}: oversubscribed objective {} vs sequential {}",
+                    over.objective,
+                    seq.objective
+                );
+            }
+        }
+        if seq.status.has_solution() {
             solved += 1;
         }
     }
@@ -134,33 +144,4 @@ fn oversubscribed_bnb_matches_sequential() {
         solved >= 10,
         "only {solved} solved MILPs in the smoke corpus"
     );
-}
-
-#[test]
-fn oversubscribed_race_matches_solo() {
-    let threads = oversubscribed_threads();
-    let mut rng = Lcg(0xbadc_a5e5);
-    let mut solved = 0usize;
-    for case in 0..25 {
-        let mut m = random_milp(&mut rng);
-        for v in m.vars.iter_mut() {
-            v.integer = false;
-        }
-        let sf = StandardForm::from_model(&m);
-        let nv = m.num_vars();
-        let solo = solve_standard_form(&sf, nv).unwrap_or_else(|e| panic!("case {case}: {e}"));
-        let raced = race_lp(&sf, nv, &[], None, None, threads)
-            .unwrap_or_else(|e| panic!("case {case} oversubscribed: {e}"));
-        assert_eq!(raced.status, solo.status, "case {case}");
-        if solo.status == SolveStatus::Optimal {
-            assert!(
-                (raced.objective - solo.objective).abs() < 1e-6,
-                "case {case}: raced {} vs solo {}",
-                raced.objective,
-                solo.objective
-            );
-            solved += 1;
-        }
-    }
-    assert!(solved >= 6, "only {solved} optimal LPs in the smoke corpus");
 }

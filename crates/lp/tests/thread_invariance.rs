@@ -1,15 +1,16 @@
-//! Thread-count invariance: the `threads` knob is a *how*, never a *what*.
+//! Thread-count invariance: the number of threads solving at once is a
+//! load condition, never a result.
 //!
-//! Over a seeded random-MILP corpus, solving at 1/2/4/8 threads must report
-//! identical statuses and objectives equal to 1e-6 (the parallel tree may
-//! visit different nodes and report a different equally-optimal vertex, but
-//! never a different optimum). Likewise the LP portfolio race must agree
-//! with the solo steepest-edge solve it would replace.
+//! The solver is single-threaded and keeps no shared state, so the service
+//! may run one solve per worker thread side by side. Over a seeded
+//! random-MILP corpus, solving the cases spread over 2/4/8 concurrent threads
+//! must report exactly the status, objective and point of the sequential
+//! solve.
+
+use std::thread;
 
 use teccl_lp::model::{ConstraintOp, Model, Sense};
-use teccl_lp::simplex::solve_standard_form;
-use teccl_lp::standard::StandardForm;
-use teccl_lp::{race_lp, MilpConfig, SolveStatus};
+use teccl_lp::{Solution, SolveStatus};
 
 /// Small deterministic LCG so the corpus is stable across runs and platforms.
 struct Lcg(u64);
@@ -88,84 +89,66 @@ fn random_milp(rng: &mut Lcg) -> Model {
     m
 }
 
+/// Solves `models[i]` for every `i` in `which`, returning `(i, solution)`.
+fn solve_all(models: &[Model], which: impl Iterator<Item = usize>) -> Vec<(usize, Solution)> {
+    which
+        .map(|i| {
+            let sol = models[i]
+                .solve()
+                .unwrap_or_else(|e| panic!("case {i}: {e}"));
+            (i, sol)
+        })
+        .collect()
+}
+
 #[test]
 fn milp_statuses_and_objectives_are_thread_count_invariant() {
     let mut rng = Lcg(0x7452_ead5);
-    let mut solved = 0usize;
-    let mut infeasible = 0usize;
-    for case in 0..200 {
-        let m = random_milp(&mut rng);
-        let solve_at = |threads: usize| {
-            m.solve_with(&MilpConfig {
-                threads,
-                ..Default::default()
-            })
-            .unwrap_or_else(|e| panic!("case {case} at {threads} threads: {e}"))
-        };
-        let base = solve_at(1);
-        for threads in [2, 4, 8] {
-            let par = solve_at(threads);
+    let models: Vec<Model> = (0..200).map(|_| random_milp(&mut rng)).collect();
+    let base: Vec<Solution> = solve_all(&models, 0..models.len())
+        .into_iter()
+        .map(|(_, s)| s)
+        .collect();
+    for threads in [2usize, 4, 8] {
+        // Case i runs on thread i % threads, concurrently with the others.
+        let results: Vec<(usize, Solution)> = thread::scope(|s| {
+            let handles: Vec<_> = (0..threads)
+                .map(|t| {
+                    let models = &models;
+                    s.spawn(move || solve_all(models, (t..models.len()).step_by(threads)))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("solver thread panicked"))
+                .collect()
+        });
+        assert_eq!(results.len(), models.len());
+        for (case, par) in results {
+            let seq = &base[case];
             assert_eq!(
-                par.status, base.status,
+                par.status, seq.status,
                 "case {case}: {threads} threads {:?} vs sequential {:?}",
-                par.status, base.status
+                par.status, seq.status
             );
-            if base.status.has_solution() {
-                assert!(
-                    (par.objective - base.objective).abs() < 1e-6,
+            if seq.status.has_solution() {
+                assert_eq!(
+                    par.objective.to_bits(),
+                    seq.objective.to_bits(),
                     "case {case}: {threads} threads {} vs sequential {}",
                     par.objective,
-                    base.objective
+                    seq.objective
                 );
+                assert_eq!(par.values, seq.values, "case {case} at {threads} threads");
             }
         }
-        match base.status {
-            s if s.has_solution() => solved += 1,
-            SolveStatus::Infeasible => infeasible += 1,
-            _ => {}
-        }
     }
+    let solved = base.iter().filter(|s| s.status.has_solution()).count();
+    let infeasible = base
+        .iter()
+        .filter(|s| s.status == SolveStatus::Infeasible)
+        .count();
     // The corpus must exercise both agreement modes.
     assert!(solved >= 60, "only {solved} solved MILPs");
     assert!(infeasible >= 10, "only {infeasible} infeasible MILPs");
-}
-
-/// The portfolio race must return exactly what the solo steepest-edge solve
-/// (racer 0's configuration) would: same status, objective to 1e-6, on every
-/// instance of a fixed LP corpus — whichever racer happens to certify first.
-#[test]
-fn portfolio_race_matches_solo_steepest_edge_on_fixed_lp_set() {
-    let mut rng = Lcg(0x7ace_0ff5);
-    let mut solved = 0usize;
-    for case in 0..60 {
-        let mut m = random_milp(&mut rng);
-        // Race the *relaxation*: integrality is the MILP layer's business.
-        for v in m.vars.iter_mut() {
-            v.integer = false;
-        }
-        let sf = StandardForm::from_model(&m);
-        let nv = m.num_vars();
-        let solo = solve_standard_form(&sf, nv).unwrap_or_else(|e| panic!("case {case}: {e}"));
-        for threads in [2, 4] {
-            let raced = race_lp(&sf, nv, &[], None, None, threads)
-                .unwrap_or_else(|e| panic!("case {case} at {threads} racers: {e}"));
-            assert_eq!(
-                raced.status, solo.status,
-                "case {case}: race at {threads} {:?} vs solo {:?}",
-                raced.status, solo.status
-            );
-            if solo.status == SolveStatus::Optimal {
-                assert!(
-                    (raced.objective - solo.objective).abs() < 1e-6,
-                    "case {case}: race at {threads} {} vs solo {}",
-                    raced.objective,
-                    solo.objective
-                );
-            }
-        }
-        if solo.status == SolveStatus::Optimal {
-            solved += 1;
-        }
-    }
-    assert!(solved >= 15, "only {solved} optimal LPs");
 }

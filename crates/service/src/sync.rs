@@ -37,10 +37,6 @@ pub enum LockRank {
     /// The orchestrator state mutex (`Inner::state`): queue, cache, in-flight
     /// map, basis book, stats.
     State = 1,
-    /// The intra-solve core-budget ledger (`Inner::cores`): how many solver
-    /// threads each active worker was granted. Highest rank so a worker may
-    /// settle its grant while the state lock is held.
-    Cores = 2,
 }
 
 impl LockRank {
@@ -51,7 +47,6 @@ impl LockRank {
         match self {
             LockRank::Workers => "Workers",
             LockRank::State => "State",
-            LockRank::Cores => "Cores",
         }
     }
 }

@@ -145,12 +145,13 @@ fn deadline_on_large_alltoall_serves_validated_degraded_schedule() {
     svc.shutdown();
 }
 
-/// Same deadline scenario but with the Dantzig-Wolfe path *forced on*: the
-/// column-generation solve trips its budget mid-run and the reply must still
-/// be a validated, honestly-tagged schedule — `incumbent` when the master
-/// had an artificial-free point in hand (the RMP incumbent is fed through
-/// the same `budget_stop` contract as the monolithic solver), a lower rung
-/// otherwise, never a silently-wrong `exact`.
+/// A deadline that trips mid-solve must still yield a validated,
+/// honestly-tagged schedule — `incumbent` when the simplex had a
+/// primal-feasible point in hand (fed through the `budget_stop` contract), a
+/// lower rung otherwise, never a silently-wrong `exact`. Unlike the test
+/// above, every rung is validated from the outside, not only the baseline.
+/// The name dates from when this forced the Dantzig-Wolfe path; the solve is
+/// now the monolithic simplex, the only LP path left.
 #[test]
 fn deadline_on_decomposed_alltoall_tags_quality_honestly() {
     let svc = ScheduleService::start(ServiceConfig {
@@ -160,15 +161,13 @@ fn deadline_on_decomposed_alltoall_tags_quality_honestly() {
         ..Default::default()
     })
     .unwrap();
-    let mut req = SolveRequest::new(
+    let req = SolveRequest::new(
         teccl_topology::internal1(2),
         CollectiveKind::AllToAll,
         1,
         16.0 * 1024.0 * 1024.0,
     )
     .with_deadline(Duration::from_millis(150));
-    req.config.decompose = teccl_service::Decompose::On;
-    req.config.threads = 2;
 
     let served = svc.request(req.clone()).unwrap();
     assert_ne!(
