@@ -11,6 +11,7 @@ use teccl_baselines::{sccl_like_schedule, taccl_like_schedule, TacclConfig};
 use teccl_bench::microbench::{BenchConfig, Harness};
 use teccl_bench::{quick_config, run_teccl, Method, Scenario};
 use teccl_collective::{CollectiveKind, DemandMatrix};
+use teccl_lp::SimplexOptions;
 use teccl_schedule::simulate;
 use teccl_topology::NodeId;
 
@@ -57,12 +58,14 @@ fn bench_astar_allgather(h: &mut Harness) {
 /// bound tightening — the branch-and-bound node pattern in isolation.
 fn bench_simplex_warm_vs_cold(h: &mut Harness) {
     let (sf, nv, basis, overrides) = teccl_bench::warm_vs_cold_fixture();
+    let opts = SimplexOptions::default();
     h.bench_function("lp/simplex_warm_vs_cold", || {
-        let sol = teccl_lp::solve_standard_form_from(&sf, nv, &overrides, Some(&basis)).unwrap();
+        let sol =
+            teccl_lp::solve_standard_form(&sf, nv, &overrides, Some(&basis), None, &opts).unwrap();
         assert!(sol.has_solution());
     });
     h.bench_function("lp/simplex_cold_resolve", || {
-        let sol = teccl_lp::solve_standard_form_from(&sf, nv, &overrides, None).unwrap();
+        let sol = teccl_lp::solve_standard_form(&sf, nv, &overrides, None, None, &opts).unwrap();
         assert!(sol.has_solution());
     });
 }
@@ -71,26 +74,27 @@ fn bench_simplex_warm_vs_cold(h: &mut Harness) {
 /// and the degenerate ALLTOALL cold solve guarded by its iteration budget.
 fn bench_dual_and_degenerate(h: &mut Harness) {
     let (sf, nv, basis, overrides) = teccl_bench::dual_resolve_fixture();
+    let opts = SimplexOptions::default();
     h.bench_function("lp/dual_resolve", || {
-        let sol = teccl_lp::solve_standard_form_from(&sf, nv, &overrides, Some(&basis)).unwrap();
+        let sol =
+            teccl_lp::solve_standard_form(&sf, nv, &overrides, Some(&basis), None, &opts).unwrap();
         assert!(sol.has_solution());
         assert_eq!(sol.stats.warm_starts, 1);
     });
     let (gsf, gnv, budget) = teccl_bench::degenerate_alltoall_fixture();
     h.bench_function("lp/degenerate_alltoall", || {
-        let sol = teccl_lp::solve_standard_form(&gsf, gnv).unwrap();
+        let sol = teccl_lp::solve_standard_form(&gsf, gnv, &[], None, None, &opts).unwrap();
         assert!(!sol.stats.iteration_limit_hit);
         assert!(sol.stats.simplex_iterations <= budget);
     });
     // The same instance with the perturbed pre-pass disabled: the pure
     // projected-steepest-edge phase-2 walk, isolating the pricing core.
-    let se_opts = teccl_lp::SimplexOptions {
+    let se_opts = SimplexOptions {
         pricing: teccl_lp::PricingRule::SteepestEdge,
         perturb_min_rows: usize::MAX,
     };
     h.bench_function("lp/steepest_edge_phase2", || {
-        let sol = teccl_lp::solve_standard_form_with_options(&gsf, gnv, &[], None, None, &se_opts)
-            .unwrap();
+        let sol = teccl_lp::solve_standard_form(&gsf, gnv, &[], None, None, &se_opts).unwrap();
         assert_eq!(sol.status, teccl_lp::SolveStatus::Optimal);
     });
 }

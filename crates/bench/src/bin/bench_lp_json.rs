@@ -14,6 +14,7 @@ use teccl_bench::{
     SOLVER_STATS_HEADERS,
 };
 use teccl_collective::CollectiveKind;
+use teccl_lp::SimplexOptions;
 
 fn main() {
     let mut h = Harness::new(BenchConfig {
@@ -44,20 +45,21 @@ fn main() {
         run_teccl(&milp_scenario, &quick_config(), Method::Milp).unwrap();
     });
 
+    let opts = SimplexOptions::default();
     let (sf, nv, basis, overrides) = warm_vs_cold_fixture();
     h.bench_function("lp/simplex_warm_vs_cold", || {
-        teccl_lp::solve_standard_form_from(&sf, nv, &overrides, Some(&basis)).unwrap();
+        teccl_lp::solve_standard_form(&sf, nv, &overrides, Some(&basis), None, &opts).unwrap();
     });
     h.bench_function("lp/simplex_cold_resolve", || {
-        teccl_lp::solve_standard_form_from(&sf, nv, &overrides, None).unwrap();
+        teccl_lp::solve_standard_form(&sf, nv, &overrides, None, None, &opts).unwrap();
     });
 
     // Dual re-solve: a tightened *active* bound, so the warm basis is primal
     // infeasible and the dual simplex takes real pivots (the B&B pattern).
     let (dsf, dnv, dbasis, doverrides) = dual_resolve_fixture();
     h.bench_function("lp/dual_resolve", || {
-        let sol =
-            teccl_lp::solve_standard_form_from(&dsf, dnv, &doverrides, Some(&dbasis)).unwrap();
+        let sol = teccl_lp::solve_standard_form(&dsf, dnv, &doverrides, Some(&dbasis), None, &opts)
+            .unwrap();
         assert!(sol.has_solution());
         assert_eq!(sol.stats.warm_starts, 1, "dual path must not fall cold");
     });
@@ -70,17 +72,16 @@ fn main() {
     // The same instance with the perturbed pre-pass disabled: a pure
     // projected-steepest-edge phase-2 walk, tracking the pricing core on its
     // own (the perturbation otherwise absorbs most of the pivots).
-    let se_opts = teccl_lp::SimplexOptions {
+    let se_opts = SimplexOptions {
         pricing: teccl_lp::PricingRule::SteepestEdge,
         perturb_min_rows: usize::MAX,
     };
     h.bench_function("lp/steepest_edge_phase2", || {
-        let sol = teccl_lp::solve_standard_form_with_options(&gsf, gnv, &[], None, None, &se_opts)
-            .unwrap();
+        let sol = teccl_lp::solve_standard_form(&gsf, gnv, &[], None, None, &se_opts).unwrap();
         assert_eq!(sol.status, teccl_lp::SolveStatus::Optimal);
     });
     h.bench_function("lp/degenerate_alltoall", || {
-        let sol = teccl_lp::solve_standard_form(&gsf, gnv).unwrap();
+        let sol = teccl_lp::solve_standard_form(&gsf, gnv, &[], None, None, &opts).unwrap();
         assert_eq!(sol.status, teccl_lp::SolveStatus::Optimal);
         assert!(
             !sol.stats.iteration_limit_hit,

@@ -62,17 +62,7 @@ pub fn print_table(title: &str, label_headers: &[&str], value_headers: &[&str], 
 }
 
 /// Which solver to use for a TE-CCL run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Method {
-    /// Automatic dispatch ([`TeCcl::solve`]).
-    Auto,
-    /// The general MILP.
-    Milp,
-    /// The LP form.
-    Lp,
-    /// The A* technique.
-    AStar,
-}
+pub use teccl_core::Method;
 
 /// The result of running one scheduler on one scenario.
 #[derive(Debug, Clone)]
@@ -170,13 +160,9 @@ pub fn quick_config() -> SolverConfig {
 /// Runs TE-CCL on a scenario and measures the resulting schedule.
 pub fn run_teccl(scenario: &Scenario, config: &SolverConfig, method: Method) -> Option<RunResult> {
     let solver = TeCcl::new(scenario.topo.clone(), config.clone());
-    let outcome = match method {
-        Method::Auto => solver.solve(&scenario.demand, scenario.chunk_bytes),
-        Method::Milp => solver.solve_milp(&scenario.demand, scenario.chunk_bytes),
-        Method::Lp => solver.solve_lp(&scenario.demand, scenario.chunk_bytes),
-        Method::AStar => solver.solve_astar(&scenario.demand, scenario.chunk_bytes),
-    }
-    .ok()?;
+    let outcome = solver
+        .solve(&scenario.demand, scenario.chunk_bytes, method, None)
+        .ok()?;
     let sim = simulate(&outcome.topology_used, &scenario.demand, &outcome.schedule).ok()?;
     Some(RunResult {
         solver: format!("te-ccl-{method:?}").to_lowercase(),
@@ -328,7 +314,8 @@ fn transport_fixture() -> (teccl_lp::StandardForm, usize, teccl_lp::Solution) {
         m.add_cons(format!("d{d}"), &terms, ConstraintOp::Ge, 20.0);
     }
     let sf = teccl_lp::StandardForm::from_model(&m);
-    let cold = teccl_lp::solve_standard_form(&sf, n * n).expect("fixture LP must solve");
+    let cold = teccl_lp::solve_standard_form(&sf, n * n, &[], None, None, &Default::default())
+        .expect("fixture LP must solve");
     (sf, n * n, cold)
 }
 
@@ -398,7 +385,8 @@ pub fn degenerate_alltoall_fixture() -> (teccl_lp::StandardForm, usize, usize) {
 /// degenerate optimal basis is materialized as the unit column of its row.
 pub fn lu_refactor_fixture() -> (usize, Vec<teccl_lp::SparseVec>) {
     let (sf, nv, _budget) = degenerate_alltoall_fixture();
-    let sol = teccl_lp::solve_standard_form(&sf, nv).expect("degenerate fixture solves");
+    let sol = teccl_lp::solve_standard_form(&sf, nv, &[], None, None, &Default::default())
+        .expect("degenerate fixture solves");
     let basis = sol.basis.expect("optimal LP returns a basis");
     let n_cols = sf.num_cols();
     let cols: Vec<teccl_lp::SparseVec> = basis
@@ -602,7 +590,8 @@ pub fn fig2_rows(sizes: &[f64]) -> Vec<Row> {
             output_buffer: (gpus.len() - 1) as f64 * transfer,
         };
         let solver = TeCcl::new(scenario.topo.clone(), quick_config());
-        let Ok(outcome) = solver.solve_astar(&scenario.demand, scenario.chunk_bytes) else {
+        let Ok(outcome) = solver.solve(&scenario.demand, scenario.chunk_bytes, Method::AStar, None)
+        else {
             continue;
         };
         let with_alpha =

@@ -43,47 +43,19 @@ pub struct AStarOutcome {
     /// The last round's root-relaxation basis (the most recently published
     /// warm-start hint): a later solve of a same-shaped round — e.g. a
     /// cache-adjacent request in the schedule service — can start from it via
-    /// [`solve_astar_from`].
+    /// [`solve_astar_budgeted`].
     pub final_basis: Option<SimplexBasis>,
 }
 
 /// Solves `demand` with the A* technique. `tau` is the epoch duration.
-pub fn solve_astar(
-    topology: &Topology,
-    demand: &DemandMatrix,
-    chunk_bytes: f64,
-    config: &SolverConfig,
-    tau: f64,
-) -> Result<AStarOutcome, TeCclError> {
-    solve_astar_from(topology, demand, chunk_bytes, config, tau, None)
-}
-
-/// [`solve_astar`] with an externally supplied basis for the first round's
-/// root relaxation (rounds then carry their own basis as usual when
-/// `astar_warm_rounds` is on). A basis whose shape does not match the first
-/// round's model silently falls back to a cold start inside the LP layer.
-pub fn solve_astar_from(
-    topology: &Topology,
-    demand: &DemandMatrix,
-    chunk_bytes: f64,
-    config: &SolverConfig,
-    tau: f64,
-    initial_basis: Option<&SimplexBasis>,
-) -> Result<AStarOutcome, TeCclError> {
-    solve_astar_budgeted(
-        topology,
-        demand,
-        chunk_bytes,
-        config,
-        tau,
-        initial_basis,
-        None,
-    )
-}
-
-/// [`solve_astar_from`] under a cooperative [`teccl_util::SolveBudget`].
 ///
-/// The budget is checked at the top of every round and inside every round's
+/// `initial_basis` warm-starts the first round's root relaxation (rounds
+/// then carry their own basis as usual when `astar_warm_rounds` is on); a
+/// basis whose shape does not match the first round's model silently falls
+/// back to a cold start inside the LP layer.
+///
+/// `budget`, an optional cooperative [`teccl_util::SolveBudget`], is
+/// checked at the top of every round and inside every round's
 /// MILP pivots. A* has no usable partial result — a prefix of rounds leaves
 /// demands unsatisfied — so an exhausted budget always surfaces as
 /// [`TeCclError::Budget`]; the serving layer degrades to a cached or
@@ -386,7 +358,7 @@ mod tests {
             astar_epochs_per_round: Some(2),
             ..Default::default()
         };
-        let out = solve_astar(&topo, &demand, 1e6, &config, 1e-3).unwrap();
+        let out = solve_astar_budgeted(&topo, &demand, 1e6, &config, 1e-3, None, None).unwrap();
         assert!(
             out.rounds >= 2,
             "expected at least 2 rounds, got {}",
@@ -410,7 +382,7 @@ mod tests {
         let gpus: Vec<NodeId> = topo.gpus().collect();
         let demand = DemandMatrix::broadcast(3, &gpus, NodeId(0), 1);
         let config = SolverConfig::default();
-        let out = solve_astar(&topo, &demand, 1e6, &config, 1e-3).unwrap();
+        let out = solve_astar_budgeted(&topo, &demand, 1e6, &config, 1e-3, None, None).unwrap();
         assert_eq!(out.rounds, 1);
     }
 
@@ -423,7 +395,7 @@ mod tests {
             astar_epochs_per_round: Some(3),
             ..Default::default()
         };
-        let out = solve_astar(&topo, &demand, 1e6, &config, 1e-3).unwrap();
+        let out = solve_astar_budgeted(&topo, &demand, 1e6, &config, 1e-3, None, None).unwrap();
         let pruned =
             crate::extract::prune_sends(&out.sends, &demand, &out.initial_holders, |a, b| {
                 topo.link_between(a, b)
@@ -448,7 +420,7 @@ mod tests {
             astar_warm_rounds: true,
             ..Default::default()
         };
-        let out = solve_astar(&topo, &demand, 1e6, &config, 1e-3).unwrap();
+        let out = solve_astar_budgeted(&topo, &demand, 1e6, &config, 1e-3, None, None).unwrap();
         assert!(out.rounds >= 2, "need several rounds, got {}", out.rounds);
         assert!(
             out.stats.warm_starts > 0,
@@ -460,7 +432,7 @@ mod tests {
             astar_warm_rounds: false,
             ..Default::default()
         };
-        let cold = solve_astar(&topo, &demand, 1e6, &cold_cfg, 1e-3).unwrap();
+        let cold = solve_astar_budgeted(&topo, &demand, 1e6, &cold_cfg, 1e-3, None, None).unwrap();
         // Both variants deliver every demand within the same round budget.
         assert_eq!(out.rounds, cold.rounds);
         let pruned =
@@ -480,7 +452,15 @@ mod tests {
         let topo = line_topology(2, 1e9, 0.0);
         let demand = DemandMatrix::new(2, 1);
         assert!(matches!(
-            solve_astar(&topo, &demand, 1e6, &SolverConfig::default(), 1e-3),
+            solve_astar_budgeted(
+                &topo,
+                &demand,
+                1e6,
+                &SolverConfig::default(),
+                1e-3,
+                None,
+                None
+            ),
             Err(TeCclError::EmptyDemand)
         ));
     }

@@ -19,13 +19,14 @@
 //!   a sequence of smaller MILPs, each rewarded for moving chunks closer to
 //!   their destinations; scalable, supports copy, slightly sub-optimal.
 //!
-//! The top-level entry point is [`TeCcl`] in [`solver`], which picks a
-//! formulation per demand (copy-free → LP, otherwise MILP or A* depending on
-//! problem size) and returns an executable [`teccl_schedule::Schedule`]
+//! The top-level entry point is [`TeCcl::solve`] in [`solver`], which takes
+//! a [`Method`] and, for [`Method::Auto`], picks a formulation per demand
+//! (copy-free → LP, otherwise MILP or A* depending on problem size); it
+//! returns an executable [`teccl_schedule::Schedule`]
 //! together with solve statistics.
 //!
 //! ```
-//! use teccl_core::{SolverConfig, TeCcl};
+//! use teccl_core::{Method, SolverConfig, TeCcl};
 //! use teccl_collective::DemandMatrix;
 //! use teccl_topology::{line_topology, NodeId};
 //!
@@ -34,7 +35,7 @@
 //! let gpus: Vec<NodeId> = topo.gpus().collect();
 //! let demand = DemandMatrix::broadcast(topo.num_nodes(), &gpus, gpus[0], 1);
 //! let solver = TeCcl::new(topo, SolverConfig::default());
-//! let result = solver.solve(&demand, 1.0e6).unwrap();
+//! let result = solver.solve(&demand, 1.0e6, Method::Auto, None).unwrap();
 //! assert!(result.schedule.num_sends() >= 2);
 //! ```
 
@@ -50,4 +51,4 @@ pub mod switch;
 
 pub use config::{BufferMode, EpochStrategy, SolverConfig, SwitchModel};
 pub use error::TeCclError;
-pub use solver::{SolveOutcome, TeCcl};
+pub use solver::{Method, SolveOutcome, TeCcl};

@@ -7,10 +7,9 @@
 //! solvable and far more scalable — that is still optimal for these demands.
 
 use std::collections::HashMap;
-use std::time::Duration;
 
 use teccl_collective::DemandMatrix;
-use teccl_lp::{ConstraintOp, MilpConfig, Model, Sense, Solution, SolveStatus, VarId};
+use teccl_lp::{ConstraintOp, Model, Sense, Solution, VarId};
 use teccl_schedule::Send;
 use teccl_topology::{NodeId, Topology};
 
@@ -18,6 +17,7 @@ use crate::config::{BufferMode, SolverConfig};
 use crate::epochs::{capacity_chunks_per_epoch, delta_epochs};
 use crate::error::TeCclError;
 use crate::extract::decompose_source_flow;
+use crate::milp_form::solve_formulation;
 
 /// A fully built LP instance for one copy-free collective optimization.
 #[derive(Debug)]
@@ -317,46 +317,21 @@ impl LpFormulation {
         })
     }
 
-    /// Solves the LP.
-    pub fn solve(&self, config: &SolverConfig) -> Result<Solution, TeCclError> {
-        self.solve_from(config, None)
-    }
-
-    /// Solves the LP, optionally warm-starting from the basis of a previous
+    /// Solves the LP, optionally warm-started from the basis of a previous
     /// solve of an identically-shaped formulation (the schedule service's
-    /// cache-adjacent warm start). A mismatched or stale basis silently
-    /// degrades to a cold start.
-    pub fn solve_from(
-        &self,
-        config: &SolverConfig,
-        warm: Option<&teccl_lp::SimplexBasis>,
-    ) -> Result<Solution, TeCclError> {
-        self.solve_budgeted(config, warm, None)
-    }
-
-    /// [`LpFormulation::solve_from`] under a cooperative [`SolveBudget`]:
-    /// the solver checks the budget at every pivot and, when it trips, hands
-    /// back the best primal-feasible point found so far (a usable if
-    /// suboptimal schedule) with `stats.budget_stop` set.
+    /// cache-adjacent warm start; a mismatched or stale basis silently
+    /// degrades to a cold start), under an optional cooperative
+    /// [`SolveBudget`](teccl_util::SolveBudget): the solver checks the budget
+    /// at every pivot and, when it trips, hands back the best primal-feasible
+    /// point found so far (a usable if suboptimal schedule) with
+    /// `stats.budget_stop` set.
     pub fn solve_budgeted(
         &self,
         config: &SolverConfig,
         warm: Option<&teccl_lp::SimplexBasis>,
         budget: Option<&teccl_util::SolveBudget>,
     ) -> Result<Solution, TeCclError> {
-        let milp_config = MilpConfig {
-            time_limit: config.time_limit.or(Some(Duration::from_secs(600))),
-            warm_start: config.warm_start,
-            budget: budget.cloned(),
-            ..Default::default()
-        };
-        let sol = self.model.solve_with_warm(&milp_config, warm)?;
-        match sol.status {
-            SolveStatus::Infeasible => Err(TeCclError::InfeasibleWithEpochs(self.num_epochs)),
-            SolveStatus::Unbounded => Err(TeCclError::NoSolution),
-            SolveStatus::LimitReached => Err(TeCclError::NoSolution),
-            _ => Ok(sol),
-        }
+        solve_formulation(&self.model, self.num_epochs, config, warm, budget)
     }
 
     /// The last epoch in which any destination still reads data — the LP's
@@ -466,7 +441,7 @@ mod tests {
         let demand = DemandMatrix::all_to_all(3, &gpus, 1);
         let config = SolverConfig::default();
         let form = LpFormulation::build(&topo, &demand, 1e6, &config, 3, 1e-3).unwrap();
-        let sol = form.solve(&config).unwrap();
+        let sol = form.solve_budgeted(&config, None, None).unwrap();
         assert_eq!(form.completion_epoch(&sol), 0);
         // Each destination reads exactly its demand.
         let total_read: f64 = (0..3)
@@ -492,7 +467,7 @@ mod tests {
         let demand = DemandMatrix::scatter(4, &gpus, NodeId(0), 1);
         let config = SolverConfig::default();
         let form = LpFormulation::build(&topo, &demand, 1e6, &config, 8, 1e-3).unwrap();
-        let sol = form.solve(&config).unwrap();
+        let sol = form.solve_budgeted(&config, None, None).unwrap();
         let completion = form.completion_epoch(&sol);
         assert!(completion >= 2, "completion epoch {completion} too early");
         // All 3 chunks eventually read.
@@ -515,7 +490,7 @@ mod tests {
         // 6 chunks over a 1-chunk/epoch bottleneck cannot finish in 2 epochs.
         let form = LpFormulation::build(&topo, &demand, 1e6, &config, 2, 1e-3).unwrap();
         assert!(matches!(
-            form.solve(&config),
+            form.solve_budgeted(&config, None, None),
             Err(TeCclError::InfeasibleWithEpochs(2))
         ));
     }
@@ -527,7 +502,7 @@ mod tests {
         let demand = DemandMatrix::all_to_all(4, &gpus, 1);
         let config = SolverConfig::default();
         let form = LpFormulation::build(&topo, &demand, 1e6, &config, 8, 1e-3).unwrap();
-        let sol = form.solve(&config).unwrap();
+        let sol = form.solve_budgeted(&config, None, None).unwrap();
         let sends = form.extract_sends(&sol, &demand);
         // Each of the 12 (s, d) pairs gets at least one send of its chunk; the
         // chunk of a far destination needs several hops.
@@ -550,7 +525,7 @@ mod tests {
         demand.set(a, 0, b);
         let config = SolverConfig::default();
         let form = LpFormulation::build(&topo, &demand, 1e6, &config, 8, 1e-3).unwrap();
-        let sol = form.solve(&config).unwrap();
+        let sol = form.solve_budgeted(&config, None, None).unwrap();
         // Earliest read: sent at epoch 0, arrives by end of epoch 3, readable
         // at epoch 3 (flow conservation consumes arrivals in the same epoch).
         let completion = form.completion_epoch(&sol);
@@ -573,7 +548,7 @@ mod tests {
         let demand = DemandMatrix::all_to_all(3, &gpus, 1);
         let config = SolverConfig::default().with_buffer_mode(BufferMode::LimitedChunks(2));
         let form = LpFormulation::build(&topo, &demand, 1e6, &config, 6, 1e-3).unwrap();
-        let sol = form.solve(&config).unwrap();
+        let sol = form.solve_budgeted(&config, None, None).unwrap();
         assert!(sol.has_solution());
     }
 }

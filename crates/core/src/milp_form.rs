@@ -789,48 +789,23 @@ impl MilpFormulation {
         true
     }
 
-    /// Solves the MILP with the limits taken from `config`.
-    pub fn solve(&self, config: &SolverConfig) -> Result<Solution, TeCclError> {
-        self.solve_from(config, None)
-    }
-
-    /// Solves the MILP, optionally warm-starting the root relaxation from the
-    /// basis of a previous round's identically-shaped formulation. The build
-    /// always produces the same layout for the same demand shape and the
-    /// presolve is layout-preserving, so warm solves run the normal pipeline
-    /// (presolve on); a mismatched basis silently degrades to a cold root.
-    pub fn solve_from(
-        &self,
-        config: &SolverConfig,
-        warm: Option<&teccl_lp::SimplexBasis>,
-    ) -> Result<Solution, TeCclError> {
-        self.solve_budgeted(config, warm, None)
-    }
-
-    /// [`MilpFormulation::solve_from`] under a cooperative [`SolveBudget`]:
-    /// pivots, dual re-solves and branch-and-bound nodes all check it, and
-    /// an exhausted budget returns the best incumbent found so far with
-    /// `stats.budget_stop` set (or [`TeCclError::Budget`] if none exists).
+    /// Solves the MILP with the limits taken from `config`, optionally
+    /// warm-starting the root relaxation from the basis of a previous round's
+    /// identically-shaped formulation (the build always produces the same
+    /// layout for the same demand shape and the presolve is
+    /// layout-preserving; a mismatched basis silently degrades to a cold
+    /// root), under an optional cooperative
+    /// [`SolveBudget`](teccl_util::SolveBudget): pivots, dual re-solves and
+    /// branch-and-bound nodes all check it, and an exhausted budget returns
+    /// the best incumbent found so far with `stats.budget_stop` set (or
+    /// [`TeCclError::Budget`] if none exists).
     pub fn solve_budgeted(
         &self,
         config: &SolverConfig,
         warm: Option<&teccl_lp::SimplexBasis>,
         budget: Option<&teccl_util::SolveBudget>,
     ) -> Result<Solution, TeCclError> {
-        let milp_config = MilpConfig {
-            rel_gap: config.early_stop_gap.unwrap_or(1e-6),
-            time_limit: config.time_limit.or(Some(Duration::from_secs(600))),
-            warm_start: config.warm_start,
-            budget: budget.cloned(),
-            ..Default::default()
-        };
-        let sol = self.model.solve_with_warm(&milp_config, warm)?;
-        match sol.status {
-            SolveStatus::Infeasible => Err(TeCclError::InfeasibleWithEpochs(self.num_epochs)),
-            SolveStatus::Unbounded => Err(TeCclError::NoSolution),
-            SolveStatus::LimitReached => Err(TeCclError::NoSolution),
-            _ => Ok(sol),
-        }
+        solve_formulation(&self.model, self.num_epochs, config, warm, budget)
     }
 
     /// Extracts the raw (unpruned) sends from a solution.
@@ -893,6 +868,32 @@ impl MilpFormulation {
     }
 }
 
+/// Solves a formulation's model under `config`'s limits and `budget`, and
+/// maps the terminal statuses to errors: infeasible at `num_epochs` (the
+/// caller may retry with more epochs), unbounded or out of limits with no
+/// incumbent. A pure LP model ignores the branch-and-bound limits.
+pub(crate) fn solve_formulation(
+    model: &Model,
+    num_epochs: usize,
+    config: &SolverConfig,
+    warm: Option<&teccl_lp::SimplexBasis>,
+    budget: Option<&teccl_util::SolveBudget>,
+) -> Result<Solution, TeCclError> {
+    let milp_config = MilpConfig {
+        rel_gap: config.early_stop_gap.unwrap_or(1e-6),
+        time_limit: config.time_limit.or(Some(Duration::from_secs(600))),
+        warm_start: config.warm_start,
+        budget: budget.cloned(),
+        ..Default::default()
+    };
+    let sol = model.solve(&milp_config, warm)?;
+    match sol.status {
+        SolveStatus::Infeasible => Err(TeCclError::InfeasibleWithEpochs(num_epochs)),
+        SolveStatus::Unbounded | SolveStatus::LimitReached => Err(TeCclError::NoSolution),
+        _ => Ok(sol),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -921,7 +922,7 @@ mod tests {
             &MilpBuildOptions::default(),
         )
         .unwrap();
-        let sol = form.solve(&config).unwrap();
+        let sol = form.solve_budgeted(&config, None, None).unwrap();
         let sends = form.sends(&sol);
         // The chunk must cross 0->1 and 1->2 (it may also be copied elsewhere,
         // pruning happens later).
@@ -952,7 +953,7 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(
-            form.solve(&config),
+            form.solve_budgeted(&config, None, None),
             Err(TeCclError::InfeasibleWithEpochs(1))
         ));
     }
@@ -977,7 +978,7 @@ mod tests {
             &MilpBuildOptions::default(),
         )
         .unwrap();
-        let sol = form.solve(&config).unwrap();
+        let sol = form.solve_budgeted(&config, None, None).unwrap();
         let sends = form.sends(&sol);
         let upstream = sends
             .iter()
@@ -1075,7 +1076,7 @@ mod tests {
             &MilpBuildOptions::default(),
         )
         .unwrap();
-        let sol = form.solve(&config).unwrap();
+        let sol = form.solve_budgeted(&config, None, None).unwrap();
         let sends = form.sends(&sol);
         let hop2 = sends.iter().find(|s| s.from == b && s.to == c).unwrap();
         let hop1 = sends.iter().find(|s| s.from == a && s.to == b).unwrap();
@@ -1101,7 +1102,7 @@ mod tests {
             &MilpBuildOptions::default(),
         )
         .unwrap();
-        let sol = form.solve(&config).unwrap();
+        let sol = form.solve_budgeted(&config, None, None).unwrap();
         // The middle node eventually buffers the chunk (it demands it).
         assert!(form.buffer_value(&sol, NodeId(0), 0, NodeId(1), 4) > 0.5);
         // The source always holds its own chunk implicitly (not modeled as a
@@ -1123,7 +1124,7 @@ mod tests {
             &MilpBuildOptions::default(),
         )
         .unwrap();
-        let sol = form.solve(&config).unwrap();
+        let sol = form.solve_budgeted(&config, None, None).unwrap();
         assert!(form.read_value(&sol, NodeId(0), 0, NodeId(2), 4) > 0.5);
     }
 
@@ -1143,7 +1144,7 @@ mod tests {
         .unwrap();
         // Node 1 demands the chunk itself, so it may hold it; node 2 receives
         // it relayed. The problem stays feasible.
-        let sol = form.solve(&config).unwrap();
+        let sol = form.solve_budgeted(&config, None, None).unwrap();
         assert!(form.read_value(&sol, NodeId(0), 0, NodeId(2), 3) > 0.5);
     }
 
@@ -1157,7 +1158,7 @@ mod tests {
         };
         // Even with 1 epoch (not enough to deliver), the relaxed model solves.
         let form = MilpFormulation::build(&topo, &demand, 1e6, &config, 1, 1e-3, &options).unwrap();
-        let sol = form.solve(&config).unwrap();
+        let sol = form.solve_budgeted(&config, None, None).unwrap();
         assert!(sol.has_solution());
     }
 
@@ -1171,7 +1172,7 @@ mod tests {
             ..Default::default()
         };
         let form = MilpFormulation::build(&topo, &demand, 1e6, &config, 2, 1e-3, &options).unwrap();
-        let sol = form.solve(&config).unwrap();
+        let sol = form.solve_budgeted(&config, None, None).unwrap();
         assert!(form.read_value(&sol, NodeId(0), 0, NodeId(2), 1) > 0.5);
     }
 
@@ -1261,8 +1262,8 @@ mod tests {
                 u.name
             );
         }
-        let a = updated.solve(&config).unwrap();
-        let b = fresh.solve(&config).unwrap();
+        let a = updated.solve_budgeted(&config, None, None).unwrap();
+        let b = fresh.solve_budgeted(&config, None, None).unwrap();
         assert!((a.objective - b.objective).abs() < 1e-9);
         // Layout-changing inputs refuse the in-place path instead of
         // corrupting the cached model.

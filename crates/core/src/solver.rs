@@ -4,7 +4,7 @@
 use std::time::{Duration, Instant};
 
 use teccl_collective::{DemandMatrix, TenantDemand};
-use teccl_lp::{SimplexBasis, SolveStats, SolveStatus};
+use teccl_lp::{SimplexBasis, Solution, SolveStats, SolveStatus};
 use teccl_schedule::Schedule;
 use teccl_topology::Topology;
 
@@ -28,6 +28,46 @@ pub enum FormulationKind {
     Lp,
     /// The A* time-partitioned solver (§4.2) — copy, scalable, sub-optimal.
     AStar,
+}
+
+/// Which formulation a solve asks for: the one decision [`TeCcl::solve`]
+/// makes per demand. The names are the schedule service's wire and cache-key
+/// names, so they must never change.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum Method {
+    /// Automatic dispatch: LP for copy-free demands, otherwise the MILP on
+    /// small topologies and A* on larger ones.
+    #[default]
+    Auto,
+    /// The general MILP (§3.1).
+    Milp,
+    /// The copy-free LP (§4.1).
+    Lp,
+    /// The A* time-partitioned solver (§4.2).
+    AStar,
+}
+
+impl Method {
+    /// Stable wire / hash name.
+    pub fn name(self) -> &'static str {
+        match self {
+            Method::Auto => "auto",
+            Method::Milp => "milp",
+            Method::Lp => "lp",
+            Method::AStar => "astar",
+        }
+    }
+
+    /// Parses the wire name.
+    pub fn from_name(s: &str) -> Option<Method> {
+        Some(match s {
+            "auto" => Method::Auto,
+            "milp" => Method::Milp,
+            "lp" => Method::Lp,
+            "astar" => Method::AStar,
+            _ => return None,
+        })
+    }
 }
 
 /// The result of a TE-CCL solve.
@@ -57,7 +97,7 @@ pub struct SolveOutcome {
     /// The final warm-start basis the solve published (the root relaxation's
     /// basis for MILPs, the final LP basis for LPs, the last round's root
     /// basis for A*), if any: the schedule service feeds it into
-    /// [`TeCcl::solve_from`] so a cache-adjacent request (same topology and
+    /// [`TeCcl::solve`] so a cache-adjacent request (same topology and
     /// collective, neighbouring buffer-size bucket) re-optimizes from it
     /// instead of starting cold.
     pub basis: Option<SimplexBasis>,
@@ -107,11 +147,6 @@ impl TeCcl {
         self
     }
 
-    /// The attached budget, if any.
-    pub fn budget(&self) -> Option<&SolveBudget> {
-        self.budget.as_ref()
-    }
-
     /// The configuration in use.
     pub fn config(&self) -> &SolverConfig {
         &self.config
@@ -141,148 +176,116 @@ impl TeCcl {
         (topo, groups, tau, k)
     }
 
-    /// Solves a demand, automatically choosing the formulation:
-    /// copy-free demands use the LP; copy-friendly demands use the MILP on
-    /// small topologies and A* on larger ones.
+    /// Solves a demand with `method` — the one solve entry point. With
+    /// [`Method::Auto`] the solver picks the formulation: copy-free demands
+    /// use the LP; copy-friendly demands use the MILP on small topologies
+    /// and A* on larger ones. The MILP and LP retry with a doubled epoch
+    /// budget (up to three attempts) while the formulation is infeasible.
+    ///
+    /// `basis` is an externally supplied warm start — the schedule service
+    /// passes the basis a cache-adjacent solve published. It seeds the root
+    /// relaxation of every epoch attempt (of the first round, for A*); a
+    /// basis of the wrong shape (from a different size bucket whose epoch count
+    /// differs, say) silently falls back to a cold start inside the LP
+    /// layer, so a stale hint can cost a failed warm attempt but never
+    /// correctness.
     pub fn solve(
         &self,
         demand: &DemandMatrix,
         chunk_bytes: f64,
-    ) -> Result<SolveOutcome, TeCclError> {
-        self.solve_from(demand, chunk_bytes, None)
-    }
-
-    /// [`TeCcl::solve`] with an externally supplied warm-start basis — the
-    /// re-entrant entry point the schedule service uses from its worker
-    /// threads. The basis is handed to the root relaxation of whichever
-    /// formulation the dispatcher picks; a basis of the wrong shape (from a
-    /// different size bucket whose epoch count differs, say) silently falls
-    /// back to a cold start inside the LP layer, so a stale hint can cost a
-    /// failed warm attempt but never correctness.
-    pub fn solve_from(
-        &self,
-        demand: &DemandMatrix,
-        chunk_bytes: f64,
+        method: Method,
         basis: Option<&SimplexBasis>,
     ) -> Result<SolveOutcome, TeCclError> {
-        if !demand.benefits_from_copy() {
-            self.solve_lp_from(demand, chunk_bytes, basis)
-        } else if self.topology.num_gpus() > ASTAR_GPU_THRESHOLD {
-            self.solve_astar_from(demand, chunk_bytes, basis)
-        } else {
-            self.solve_milp_from(demand, chunk_bytes, basis)
-        }
-    }
-
-    /// Solves with the general MILP formulation (§3.1). Retries with a larger
-    /// epoch budget if the first attempt is infeasible.
-    pub fn solve_milp(
-        &self,
-        demand: &DemandMatrix,
-        chunk_bytes: f64,
-    ) -> Result<SolveOutcome, TeCclError> {
-        self.solve_milp_from(demand, chunk_bytes, None)
-    }
-
-    /// [`TeCcl::solve_milp`] warm-started from a prior basis.
-    pub fn solve_milp_from(
-        &self,
-        demand: &DemandMatrix,
-        chunk_bytes: f64,
-        basis: Option<&SimplexBasis>,
-    ) -> Result<SolveOutcome, TeCclError> {
+        let method = match method {
+            Method::Auto if !demand.benefits_from_copy() => Method::Lp,
+            Method::Auto if self.topology.num_gpus() > ASTAR_GPU_THRESHOLD => Method::AStar,
+            Method::Auto => Method::Milp,
+            m => m,
+        };
         let start = Instant::now();
         let (topo, groups, tau, k0) = self.prepare(demand, chunk_bytes);
+        let budget = self.budget.as_ref();
+        if method == Method::AStar {
+            let out =
+                solve_astar_budgeted(&topo, demand, chunk_bytes, &self.config, tau, basis, budget)?;
+            let delta_of = |a, b| {
+                topo.link_between(a, b)
+                    .map(|l| delta_epochs(l, tau) + kappa_epochs(l, chunk_bytes, tau) - 1)
+                    .unwrap_or(0)
+            };
+            let pruned = prune_sends(&out.sends, demand, &out.initial_holders, delta_of);
+            let schedule = schedule_from_sends(
+                "te-ccl-astar",
+                chunk_bytes,
+                tau,
+                pruned,
+                start.elapsed().as_secs_f64(),
+            );
+            return Ok(SolveOutcome {
+                schedule,
+                topology_used: topo,
+                formulation: FormulationKind::AStar,
+                status: SolveStatus::Feasible,
+                solver_time: start.elapsed(),
+                num_epochs: out.rounds * out.epochs_per_round,
+                epoch_duration: tau,
+                mip_gap: f64::NAN,
+                stats: out.stats.clone(),
+                basis: out.final_basis,
+            });
+        }
+
         let options = MilpBuildOptions {
             hyperedge_groups: groups,
             ..Default::default()
         };
-
-        let mut k = k0.max(2);
-        let mut last_err = TeCclError::NoSolution;
-        for _attempt in 0..3 {
+        // One attempt at `k` epochs: build, solve, extract. The MILP prunes
+        // its sends and keeps at least `k` epochs; the LP's schedule ends at
+        // its completion epoch.
+        let attempt = |k: usize| -> Result<(Schedule, Solution), TeCclError> {
+            if method == Method::Lp {
+                let form = LpFormulation::build(&topo, demand, chunk_bytes, &self.config, k, tau)?;
+                let sol = form.solve_budgeted(&self.config, basis, budget)?;
+                let sends = form.extract_sends(&sol, demand);
+                let elapsed = start.elapsed().as_secs_f64();
+                let mut schedule =
+                    schedule_from_sends("te-ccl-lp", chunk_bytes, tau, sends, elapsed);
+                schedule.num_epochs = schedule.num_epochs.max(form.completion_epoch(&sol) + 1);
+                return Ok((schedule, sol));
+            }
             let form =
                 MilpFormulation::build(&topo, demand, chunk_bytes, &self.config, k, tau, &options)?;
-            match form.solve_budgeted(&self.config, basis, self.budget.as_ref()) {
-                Ok(sol) => {
-                    let sends = form.sends(&sol);
-                    let pruned = prune_sends(&sends, demand, form.initial_holders(), |a, b| {
-                        form.delta_of(a, b)
-                    });
-                    let mut schedule = schedule_from_sends(
-                        "te-ccl-milp",
-                        chunk_bytes,
-                        tau,
-                        pruned,
-                        start.elapsed().as_secs_f64(),
-                    );
-                    schedule.num_epochs = schedule.num_epochs.max(k);
-                    return Ok(SolveOutcome {
-                        schedule,
-                        topology_used: topo,
-                        formulation: FormulationKind::GeneralMilp,
-                        status: sol.status,
-                        solver_time: start.elapsed(),
-                        num_epochs: k,
-                        epoch_duration: tau,
-                        mip_gap: sol.stats.mip_gap,
-                        stats: sol.stats.clone(),
-                        basis: sol.basis,
-                    });
-                }
-                Err(TeCclError::InfeasibleWithEpochs(_)) => {
-                    last_err = TeCclError::InfeasibleWithEpochs(k);
-                    k *= 2;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last_err)
-    }
-
-    /// Solves with the LP formulation (§4.1) — intended for copy-free demands.
-    pub fn solve_lp(
-        &self,
-        demand: &DemandMatrix,
-        chunk_bytes: f64,
-    ) -> Result<SolveOutcome, TeCclError> {
-        self.solve_lp_from(demand, chunk_bytes, None)
-    }
-
-    /// [`TeCcl::solve_lp`] warm-started from a prior basis.
-    pub fn solve_lp_from(
-        &self,
-        demand: &DemandMatrix,
-        chunk_bytes: f64,
-        basis: Option<&SimplexBasis>,
-    ) -> Result<SolveOutcome, TeCclError> {
-        let start = Instant::now();
-        let (topo, _groups, tau, k0) = self.prepare(demand, chunk_bytes);
+            let sol = form.solve_budgeted(&self.config, basis, budget)?;
+            let pruned = prune_sends(&form.sends(&sol), demand, form.initial_holders(), |a, b| {
+                form.delta_of(a, b)
+            });
+            let elapsed = start.elapsed().as_secs_f64();
+            let mut schedule =
+                schedule_from_sends("te-ccl-milp", chunk_bytes, tau, pruned, elapsed);
+            schedule.num_epochs = schedule.num_epochs.max(k);
+            Ok((schedule, sol))
+        };
 
         let mut k = k0.max(2);
         let mut last_err = TeCclError::NoSolution;
         for _attempt in 0..3 {
-            let form = LpFormulation::build(&topo, demand, chunk_bytes, &self.config, k, tau)?;
-            match form.solve_budgeted(&self.config, basis, self.budget.as_ref()) {
-                Ok(sol) => {
-                    let sends = form.extract_sends(&sol, demand);
-                    let mut schedule = schedule_from_sends(
-                        "te-ccl-lp",
-                        chunk_bytes,
-                        tau,
-                        sends,
-                        start.elapsed().as_secs_f64(),
-                    );
-                    schedule.num_epochs = schedule.num_epochs.max(form.completion_epoch(&sol) + 1);
+            match attempt(k) {
+                Ok((schedule, sol)) => {
                     return Ok(SolveOutcome {
                         schedule,
                         topology_used: topo,
-                        formulation: FormulationKind::Lp,
+                        formulation: match method {
+                            Method::Lp => FormulationKind::Lp,
+                            _ => FormulationKind::GeneralMilp,
+                        },
                         status: sol.status,
                         solver_time: start.elapsed(),
                         num_epochs: k,
                         epoch_duration: tau,
-                        mip_gap: 0.0,
+                        mip_gap: match method {
+                            Method::Lp => 0.0,
+                            _ => sol.stats.mip_gap,
+                        },
                         stats: sol.stats.clone(),
                         basis: sol.basis,
                     });
@@ -295,60 +298,6 @@ impl TeCcl {
             }
         }
         Err(last_err)
-    }
-
-    /// Solves with the A* technique (§4.2).
-    pub fn solve_astar(
-        &self,
-        demand: &DemandMatrix,
-        chunk_bytes: f64,
-    ) -> Result<SolveOutcome, TeCclError> {
-        self.solve_astar_from(demand, chunk_bytes, None)
-    }
-
-    /// [`TeCcl::solve_astar`] with a warm-start basis for the first round.
-    pub fn solve_astar_from(
-        &self,
-        demand: &DemandMatrix,
-        chunk_bytes: f64,
-        basis: Option<&SimplexBasis>,
-    ) -> Result<SolveOutcome, TeCclError> {
-        let start = Instant::now();
-        let (topo, _groups, tau, _k) = self.prepare(demand, chunk_bytes);
-        let out = solve_astar_budgeted(
-            &topo,
-            demand,
-            chunk_bytes,
-            &self.config,
-            tau,
-            basis,
-            self.budget.as_ref(),
-        )?;
-        let delta_of = |a, b| {
-            topo.link_between(a, b)
-                .map(|l| delta_epochs(l, tau) + kappa_epochs(l, chunk_bytes, tau) - 1)
-                .unwrap_or(0)
-        };
-        let pruned = prune_sends(&out.sends, demand, &out.initial_holders, delta_of);
-        let schedule = schedule_from_sends(
-            "te-ccl-astar",
-            chunk_bytes,
-            tau,
-            pruned,
-            start.elapsed().as_secs_f64(),
-        );
-        Ok(SolveOutcome {
-            schedule,
-            topology_used: topo,
-            formulation: FormulationKind::AStar,
-            status: SolveStatus::Feasible,
-            solver_time: start.elapsed(),
-            num_epochs: out.rounds * out.epochs_per_round,
-            epoch_duration: tau,
-            mip_gap: f64::NAN,
-            stats: out.stats.clone(),
-            basis: out.final_basis,
-        })
     }
 
     /// Solves a multi-tenant problem (§5): the per-tenant demands are summed
@@ -372,7 +321,7 @@ impl TeCcl {
         }
         let mut solver = self.clone();
         solver.config.chunk_priorities = Some(priorities);
-        solver.solve(&combined, chunk_bytes)
+        solver.solve(&combined, chunk_bytes, Method::Auto, None)
     }
 }
 
@@ -396,7 +345,7 @@ mod tests {
         let gpus: Vec<NodeId> = topo.gpus().collect();
         let demand = DemandMatrix::all_gather(3, &gpus, 1);
         let solver = TeCcl::new(topo, SolverConfig::default());
-        let out = solver.solve(&demand, 1e6).unwrap();
+        let out = solver.solve(&demand, 1e6, Method::Auto, None).unwrap();
         assert_eq!(out.formulation, FormulationKind::GeneralMilp);
         check_outcome(&out, &demand);
     }
@@ -407,7 +356,7 @@ mod tests {
         let gpus: Vec<NodeId> = topo.gpus().collect();
         let demand = DemandMatrix::all_to_all(4, &gpus, 1);
         let solver = TeCcl::new(topo, SolverConfig::default());
-        let out = solver.solve(&demand, 1e6).unwrap();
+        let out = solver.solve(&demand, 1e6, Method::Auto, None).unwrap();
         assert_eq!(out.formulation, FormulationKind::Lp);
         check_outcome(&out, &demand);
     }
@@ -418,7 +367,7 @@ mod tests {
         let gpus: Vec<NodeId> = topo.gpus().collect();
         let demand = DemandMatrix::broadcast(3, &gpus, NodeId(0), 1);
         let solver = TeCcl::new(topo, SolverConfig::default());
-        let out = solver.solve(&demand, 1e6).unwrap();
+        let out = solver.solve(&demand, 1e6, Method::Auto, None).unwrap();
         check_outcome(&out, &demand);
         // Pruned schedule should be exactly the 2-hop relay.
         assert_eq!(out.schedule.num_sends(), 2);
@@ -434,7 +383,7 @@ mod tests {
             ..Default::default()
         };
         let solver = TeCcl::new(topo, config);
-        let out = solver.solve_astar(&demand, 1e6).unwrap();
+        let out = solver.solve(&demand, 1e6, Method::AStar, None).unwrap();
         assert_eq!(out.formulation, FormulationKind::AStar);
         check_outcome(&out, &demand);
     }
@@ -447,7 +396,7 @@ mod tests {
         let gpus: Vec<NodeId> = topo.gpus().collect();
         let demand = DemandMatrix::broadcast(topo.num_nodes(), &gpus, gpus[0], 1);
         let solver = TeCcl::new(topo, SolverConfig::taccl_comparable().with_max_epochs(6));
-        let out = solver.solve_milp(&demand, 1e6).unwrap();
+        let out = solver.solve(&demand, 1e6, Method::Milp, None).unwrap();
         // The switch is bypassed: direct cross-chassis hyper-edges exist and
         // no link touches the switch node anymore.
         let sw = solver.topology().switches().next().unwrap();
@@ -475,15 +424,25 @@ mod tests {
 
     #[test]
     fn infeasible_epoch_budget_retries_and_succeeds() {
-        // max_epochs = 1 is not enough for a 2-hop broadcast; the retry with a
-        // doubled budget must succeed.
-        let topo = line_topology(3, 1e9, 0.0);
+        // max_epochs = 1 (raised to the two-epoch floor) is not enough for a
+        // 3-hop broadcast (MILP route) or a line ALLTOALL (LP route); the
+        // retry with a doubled budget must succeed on both routes.
+        let topo = line_topology(4, 1e9, 0.0);
         let gpus: Vec<NodeId> = topo.gpus().collect();
-        let demand = DemandMatrix::broadcast(3, &gpus, NodeId(0), 1);
-        let solver = TeCcl::new(topo, SolverConfig::default().with_max_epochs(1));
-        let out = solver.solve_milp(&demand, 1e6).unwrap();
-        assert!(out.num_epochs >= 2);
-        check_outcome(&out, &demand);
+        let cases = [
+            (
+                DemandMatrix::broadcast(4, &gpus, NodeId(0), 1),
+                FormulationKind::GeneralMilp,
+            ),
+            (DemandMatrix::all_to_all(4, &gpus, 1), FormulationKind::Lp),
+        ];
+        for (demand, route) in cases {
+            let solver = TeCcl::new(topo.clone(), SolverConfig::default().with_max_epochs(1));
+            let out = solver.solve(&demand, 1e6, Method::Auto, None).unwrap();
+            assert_eq!(out.formulation, route);
+            assert!(out.num_epochs > 2, "{route:?} did not retry");
+            check_outcome(&out, &demand);
+        }
     }
 
     #[test]
@@ -492,7 +451,7 @@ mod tests {
         let gpus: Vec<NodeId> = topo.gpus().collect();
         let demand = DemandMatrix::for_collective(CollectiveKind::Gather, 3, &gpus, 1);
         let solver = TeCcl::new(topo, SolverConfig::default());
-        let out = solver.solve(&demand, 1e6).unwrap();
+        let out = solver.solve(&demand, 1e6, Method::Auto, None).unwrap();
         assert_eq!(out.formulation, FormulationKind::Lp);
         check_outcome(&out, &demand);
     }

@@ -1,7 +1,7 @@
 //! **budget-coverage** — every hot loop must charge the cooperative
-//! [`SolveBudget`].
+//! `SolveBudget`.
 //!
-//! PR 5's canonical near-miss: the pure-LP path in `Model::solve_with_warm`
+//! The canonical near-miss: the pure-LP path of the model-level solve
 //! quietly skipped the budget, turning a 100 ms deadline into a 132 s solve.
 //! The invariant "every loop that can burn unbounded solver time charges or
 //! checks the budget" is exactly the kind nothing enforces once the PR

@@ -20,7 +20,7 @@
 //!   LU-factorized basis with eta updates and Markowitz-tie-broken pivoting
 //!   ([`basis`]), a crash slack basis, devex candidate-list pricing, an
 //!   EXPAND anti-cycling ratio test, and **warm starts** from a prior basis
-//!   ([`simplex::solve_standard_form_from`]) re-optimized by a dual simplex,
+//!   ([`simplex::solve_standard_form`]) re-optimized by a dual simplex,
 //! * a **branch-and-bound MILP solver** ([`milp`]) with a rounding heuristic,
 //!   relative-gap early stop (the paper's "early stop at 30%" mode), a time
 //!   limit (the paper's 2-hour Gurobi timeout), **hot node re-solves** (each
@@ -28,13 +28,19 @@
 //!   all-artificial phase 1), and **per-node presolve** (bound propagation
 //!   plus light probing feeding the dual re-solve's override list).
 //!
+//! Each layer has one entry point: [`Model::solve`] (presolve, then the
+//! simplex or branch-and-bound, with an optional warm basis and the
+//! [`MilpConfig`] limits and budget) over [`solve_standard_form`] (one
+//! prepared form, bound overrides, warm basis, budget and
+//! [`SimplexOptions`]).
+//!
 //! The solver is deterministic: the same model always produces the same
 //! solution, mirroring the reliability claim TE-CCL makes versus TACCL.
 //!
 //! ## Quick example
 //!
 //! ```
-//! use teccl_lp::{Model, Sense, ConstraintOp, SolveStatus};
+//! use teccl_lp::{ConstraintOp, MilpConfig, Model, Sense, SolveStatus};
 //!
 //! // maximize 3x + 2y  s.t.  x + y <= 4, x <= 2, y <= 3, x,y >= 0
 //! let mut m = Model::new(Sense::Maximize);
@@ -43,7 +49,7 @@
 //! m.add_cons("cap", &[(x, 1.0), (y, 1.0)], ConstraintOp::Le, 4.0);
 //! m.add_cons("bx", &[(x, 1.0)], ConstraintOp::Le, 2.0);
 //! m.add_cons("by", &[(y, 1.0)], ConstraintOp::Le, 3.0);
-//! let sol = m.solve().unwrap();
+//! let sol = m.solve(&MilpConfig::default(), None).unwrap();
 //! assert_eq!(sol.status, SolveStatus::Optimal);
 //! assert!((sol.objective - 10.0).abs() < 1e-6);
 //! ```
@@ -61,12 +67,9 @@ pub mod standard;
 
 pub use basis::{LuFactors, SimplexBasis, VarStatus};
 pub use error::LpError;
-pub use milp::{MilpConfig, MilpSolver};
+pub use milp::MilpConfig;
 pub use model::{ConstraintOp, Model, Sense, VarId};
-pub use simplex::{
-    solve_standard_form, solve_standard_form_budgeted, solve_standard_form_from,
-    solve_standard_form_with_options, PricingRule, SimplexOptions,
-};
+pub use simplex::{solve_standard_form, PricingRule, SimplexOptions};
 pub use solution::{Solution, SolveStats, SolveStatus};
 pub use sparse::{SparseMatrix, SparseVec};
 pub use standard::StandardForm;
@@ -96,8 +99,8 @@ mod thread_safety_tests {
         assert_sync::<Model>();
         assert_send::<StandardForm>();
         assert_sync::<StandardForm>();
-        assert_send::<MilpSolver>();
-        assert_sync::<MilpSolver>();
+        assert_send::<MilpConfig>();
+        assert_sync::<MilpConfig>();
         assert_send::<Solution>();
         assert_sync::<Solution>();
         assert_send::<SimplexBasis>();
@@ -136,7 +139,7 @@ mod thread_safety_tests {
         let mut m = Model::new(Sense::Maximize);
         let x = m.add_var("x", 0.0, 3.0, 1.0, false);
         m.add_cons("c", &[(x, 1.0)], ConstraintOp::Le, 2.0);
-        let sol = m.solve().unwrap();
+        let sol = m.solve(&MilpConfig::default(), None).unwrap();
         let v = sol.basis_to_json().expect("LP solve returns a basis");
         let back = SimplexBasis::from_json_value(&v).unwrap();
         assert_eq!(Some(&back), sol.basis.as_ref());

@@ -14,7 +14,7 @@
 //!   built *once* at the root; every child node re-solves with only a bound
 //!   override list and its parent's optimal basis, so the simplex repairs a
 //!   single bound violation instead of re-running phase 1 from the
-//!   all-artificial basis (see [`crate::simplex::solve_standard_form_from`]),
+//!   all-artificial basis (see [`crate::simplex::solve_standard_form`]),
 //! * **per-node presolve**: before each node's LP re-solve, a lightweight
 //!   bound-propagation pass (row-activity implied bounds, integer rounding,
 //!   and light probing on binary variables) tightens the node's override
@@ -31,7 +31,7 @@ use crate::basis::SimplexBasis;
 use crate::error::LpError;
 use crate::model::{Model, Sense};
 use crate::presolve;
-use crate::simplex;
+use crate::simplex::{self, SimplexOptions};
 use crate::solution::{Solution, SolveStats, SolveStatus};
 use crate::standard::StandardForm;
 use crate::INT_TOL;
@@ -89,14 +89,6 @@ impl MilpConfig {
             ..Default::default()
         }
     }
-
-    /// Configuration with a wall-clock time limit.
-    pub fn with_time_limit(limit: Duration) -> Self {
-        Self {
-            time_limit: Some(limit),
-            ..Default::default()
-        }
-    }
 }
 
 /// A branch-and-bound node: the bound overrides accumulated along the path
@@ -140,377 +132,360 @@ impl Ord for HeapNode {
     }
 }
 
-/// The branch-and-bound solver.
-#[derive(Debug, Clone)]
-pub struct MilpSolver {
-    config: MilpConfig,
-}
+/// Branch-and-bound over a mixed-integer model (reached through
+/// [`Model::solve`]), optionally warm-starting the **root** relaxation from a
+/// basis carried over from a previous solve of an identically-shaped model
+/// (the A* cross-round case). The returned [`Solution::basis`] is the root
+/// relaxation's final basis (in the presolved standard-form space), ready to
+/// be carried into the next round; a stale or mismatched basis silently falls
+/// back to a cold root.
+pub(crate) fn branch_and_bound(
+    model: &Model,
+    config: &MilpConfig,
+    root_warm: Option<&SimplexBasis>,
+) -> Result<Solution, LpError> {
+    let start = Instant::now();
+    let maximize = model.sense == Sense::Maximize;
+    // `better(a, b)` returns true if objective a is strictly better than b.
+    let better = |a: f64, b: f64| if maximize { a > b + 1e-9 } else { a < b - 1e-9 };
 
-impl MilpSolver {
-    /// Creates a solver with the given configuration.
-    pub fn new(config: MilpConfig) -> Self {
-        Self { config }
+    // Presolve ONCE; the whole tree shares the tightened model's standard
+    // form and only varies bounds. The presolve is layout-preserving
+    // (fixings are `lb == ub` pins, freed rows get relaxed slacks), so
+    // the column space is identical to the raw model's — any basis from
+    // any node, round, or differently-presolved sibling solve stays
+    // valid. Bound tightenings from branching only shrink domains, so
+    // the root reductions hold at every node.
+    let (red, post) = presolve::presolve(model)?;
+    if let Some(early) = post.trivial_outcome() {
+        let mut sol = post.recover(early, model);
+        sol.stats.solve_time = start.elapsed();
+        return Ok(sol);
     }
+    let mut sf = StandardForm::from_model(&red);
+    post.relax_free_rows(&mut sf);
+    let sf = sf;
+    let num_red_vars = red.num_vars();
+    // Per-node presolve shares the same row view for the whole tree.
+    let mut node_presolver = config
+        .node_presolve
+        .then(|| presolve::NodePresolver::new(&red, &post));
+    // Original-model integer variables and their reduced columns.
+    let int_vars: Vec<usize> = model
+        .vars
+        .iter()
+        .enumerate()
+        .filter(|(_, v)| v.integer)
+        .map(|(i, _)| i)
+        .collect();
 
-    /// Solves a mixed-integer model.
-    pub fn solve(&self, model: &Model) -> Result<Solution, LpError> {
-        self.solve_from(model, None)
-    }
+    let mut stats = SolveStats {
+        presolved_vars: post.original_vars - post.cols_fixed,
+        presolved_cons: post.original_cons - post.rows_freed,
+        cols_fixed: post.cols_fixed,
+        rows_freed: post.rows_freed,
+        ..Default::default()
+    };
 
-    /// Solves a mixed-integer model, optionally warm-starting the **root**
-    /// relaxation from a basis carried over from a previous solve of an
-    /// identically-shaped model (the A* cross-round case). The returned
-    /// [`Solution::basis`] is the root relaxation's final basis (in the
-    /// presolved standard-form space), ready to be carried into the next
-    /// round; a stale or mismatched basis silently falls back to a cold root.
-    pub fn solve_from(
-        &self,
-        model: &Model,
-        root_warm: Option<&SimplexBasis>,
-    ) -> Result<Solution, LpError> {
-        let start = Instant::now();
-        let maximize = model.sense == Sense::Maximize;
-        // `better(a, b)` returns true if objective a is strictly better than b.
-        let better = |a: f64, b: f64| if maximize { a > b + 1e-9 } else { a < b - 1e-9 };
+    let budget = config.budget.as_ref();
 
-        // Presolve ONCE; the whole tree shares the tightened model's standard
-        // form and only varies bounds. The presolve is layout-preserving
-        // (fixings are `lb == ub` pins, freed rows get relaxed slacks), so
-        // the column space is identical to the raw model's — any basis from
-        // any node, round, or differently-presolved sibling solve stays
-        // valid. Bound tightenings from branching only shrink domains, so
-        // the root reductions hold at every node.
-        let (red, post) = presolve::presolve(model)?;
-        if let Some(early) = post.trivial_outcome() {
-            let mut sol = post.recover(early, model);
-            sol.stats.solve_time = start.elapsed();
+    // Root relaxation (dual re-optimized from the carried basis, when one
+    // is provided and still fits the standard form's shape). A budget
+    // stop here without a primal-feasible point propagates as an error —
+    // there is nothing to degrade to yet.
+    let opts = SimplexOptions::default();
+    let root_red = simplex::solve_standard_form(&sf, num_red_vars, &[], root_warm, budget, &opts)?;
+    stats.absorb(&root_red.stats);
+    // A budget-stopped root is a feasible point, not a dual bound; the
+    // final gap/bound report must not treat its objective as proved.
+    let root_budget_stopped = stats.budget_stop.is_some();
+    // The root basis is what the next same-shaped solve warm-starts from.
+    let carried_basis = root_red.basis.clone();
+    let root = post.recover(root_red, model);
+    match root.status {
+        SolveStatus::Infeasible | SolveStatus::Unbounded => {
+            let mut sol = root;
+            sol.values = vec![0.0; model.num_vars()];
+            sol.objective = f64::NAN;
+            sol.duals = Vec::new();
+            sol.basis = None;
+            stats.solve_time = start.elapsed();
+            sol.stats = stats;
             return Ok(sol);
         }
-        let mut sf = StandardForm::from_model(&red);
-        post.relax_free_rows(&mut sf);
-        let sf = sf;
-        let num_red_vars = red.num_vars();
-        // Per-node presolve shares the same row view for the whole tree.
-        let mut node_presolver = self
-            .config
-            .node_presolve
-            .then(|| presolve::NodePresolver::new(&red, &post));
-        // Original-model integer variables and their reduced columns.
-        let int_vars: Vec<usize> = model
-            .vars
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| v.integer)
-            .map(|(i, _)| i)
-            .collect();
+        _ => {}
+    }
 
-        let mut stats = SolveStats {
-            presolved_vars: post.original_vars - post.cols_fixed,
-            presolved_cons: post.original_cons - post.rows_freed,
-            cols_fixed: post.cols_fixed,
-            rows_freed: post.rows_freed,
-            ..Default::default()
-        };
+    let mut incumbent: Option<Solution> = None;
+    let mut best_bound = root.objective;
 
-        let budget = self.config.budget.as_ref();
+    let mut heap = BinaryHeap::new();
+    let mut next_id = 0usize;
+    let score = |obj: f64| if maximize { obj } else { -obj };
+    let root_basis = root.basis.clone().map(Arc::new);
+    heap.push(HeapNode {
+        score: score(root.objective),
+        node: Node {
+            overrides: Vec::new(),
+            parent_bound: root.objective,
+            id: next_id,
+            warm: root_basis,
+        },
+    });
+    next_id += 1;
 
-        // Root relaxation (dual re-optimized from the carried basis, when one
-        // is provided and still fits the standard form's shape). A budget
-        // stop here without a primal-feasible point propagates as an error —
-        // there is nothing to degrade to yet.
-        let root_red =
-            simplex::solve_standard_form_budgeted(&sf, num_red_vars, &[], root_warm, budget)?;
-        stats.absorb(&root_red.stats);
-        // A budget-stopped root is a feasible point, not a dual bound; the
-        // final gap/bound report must not treat its objective as proved.
-        let root_budget_stopped = stats.budget_stop.is_some();
-        // The root basis is what the next same-shaped solve warm-starts from.
-        let carried_basis = root_red.basis.clone();
-        let root = post.recover(root_red, model);
-        match root.status {
-            SolveStatus::Infeasible | SolveStatus::Unbounded => {
-                let mut sol = root;
-                sol.values = vec![0.0; model.num_vars()];
-                sol.objective = f64::NAN;
-                sol.duals = Vec::new();
-                sol.basis = None;
-                stats.solve_time = start.elapsed();
-                sol.stats = stats;
-                return Ok(sol);
+    let mut hit_limit = false;
+    // The root relaxation is already solved; hand it to the first pop.
+    let mut root_relax = Some(root);
+
+    while let Some(HeapNode { mut node, .. }) = heap.pop() {
+        // Global bound = best over the open nodes and the node being
+        // processed (the heap is ordered by bound).
+        best_bound = node.parent_bound;
+        if let Some(inc) = &incumbent {
+            if gap(best_bound, inc.objective) <= config.rel_gap {
+                // Good enough: the paper's early-stop behaviour.
+                break;
             }
-            _ => {}
+            if !better(node.parent_bound, inc.objective) {
+                continue; // prune by bound
+            }
         }
-
-        let mut incumbent: Option<Solution> = None;
-        let mut best_bound = root.objective;
-
-        let mut heap = BinaryHeap::new();
-        let mut next_id = 0usize;
-        let score = |obj: f64| if maximize { obj } else { -obj };
-        let root_basis = root.basis.clone().map(Arc::new);
-        heap.push(HeapNode {
-            score: score(root.objective),
-            node: Node {
-                overrides: Vec::new(),
-                parent_bound: root.objective,
-                id: next_id,
-                warm: root_basis,
-            },
-        });
-        next_id += 1;
-
-        let mut hit_limit = false;
-        // The root relaxation is already solved; hand it to the first pop.
-        let mut root_relax = Some(root);
-
-        while let Some(HeapNode { mut node, .. }) = heap.pop() {
-            // Global bound = best over the open nodes and the node being
-            // processed (the heap is ordered by bound).
-            best_bound = node.parent_bound;
-            if let Some(inc) = &incumbent {
-                if gap(best_bound, inc.objective) <= self.config.rel_gap {
-                    // Good enough: the paper's early-stop behaviour.
-                    break;
-                }
-                if !better(node.parent_bound, inc.objective) {
-                    continue; // prune by bound
-                }
-            }
-            if stats.nodes_explored >= self.config.node_limit {
+        if stats.nodes_explored >= config.node_limit {
+            hit_limit = true;
+            break;
+        }
+        if let Some(limit) = config.time_limit {
+            if start.elapsed() > limit {
                 hit_limit = true;
                 break;
             }
-            if let Some(limit) = self.config.time_limit {
-                if start.elapsed() > limit {
+        }
+        // Cooperative budget, checked between nodes as well as inside
+        // each node's pivots (catches a cancel while the tree is hot but
+        // the LPs are cheap). Skipped while the already-solved root
+        // relaxation is pending: a budget-stopped root still carries a
+        // feasible point the harvest below must get to see.
+        if root_relax.is_none() {
+            if let Some(b) = budget {
+                if let Some(cause) = b.exceeded() {
+                    stats.budget_stop = stats.budget_stop.or(Some(cause));
                     hit_limit = true;
                     break;
                 }
             }
-            // Cooperative budget, checked between nodes as well as inside
-            // each node's pivots (catches a cancel while the tree is hot but
-            // the LPs are cheap). Skipped while the already-solved root
-            // relaxation is pending: a budget-stopped root still carries a
-            // feasible point the harvest below must get to see.
-            if root_relax.is_none() {
-                if let Some(b) = budget {
-                    if let Some(cause) = b.exceeded() {
-                        stats.budget_stop = stats.budget_stop.or(Some(cause));
-                        hit_limit = true;
-                        break;
-                    }
-                }
-            }
-            stats.nodes_explored += 1;
-
-            // Solve this node's relaxation: shared standard form + this
-            // node's bound overrides, warm-started from the parent's basis.
-            let relax = match root_relax.take() {
-                Some(r) => r,
-                None => {
-                    // Per-node presolve: propagate the branching bounds
-                    // through the rows (plus light probing) before paying for
-                    // the LP. The tightenings land in the override list the
-                    // dual simplex consumes; a propagation-proven infeasible
-                    // node is pruned with no LP work at all.
-                    if let Some(np) = node_presolver.as_mut() {
-                        match np.tighten(&mut node.overrides) {
-                            None => continue, // infeasible by propagation
-                            Some(t) => stats.node_tightenings += t,
-                        }
-                    }
-                    let warm = if self.config.warm_start {
-                        node.warm.as_deref()
-                    } else {
-                        None
-                    };
-                    let red_sol = match simplex::solve_standard_form_budgeted(
-                        &sf,
-                        num_red_vars,
-                        &node.overrides,
-                        warm,
-                        budget,
-                    ) {
-                        Ok(s) => s,
-                        // Budget exhausted with no feasible point at this
-                        // node: keep whatever incumbent the tree already
-                        // produced; fail only if there is none.
-                        Err(LpError::Budget(cause)) => {
-                            if incumbent.is_some() {
-                                stats.budget_stop = stats.budget_stop.or(Some(cause));
-                                hit_limit = true;
-                                break;
-                            }
-                            return Err(LpError::Budget(cause));
-                        }
-                        Err(e) => return Err(e),
-                    };
-                    stats.absorb(&red_sol.stats);
-                    post.recover(red_sol, model)
-                }
-            };
-            if !relax.status.has_solution() {
-                continue; // infeasible branch
-            }
-            // A budget stop *inside* this node's LP left a feasible point
-            // that is not a valid bound: harvest it as an incumbent when it
-            // is integral (the common pure-LP case), then stop the search.
-            if stats.budget_stop.is_some() {
-                hit_limit = true;
-                let integral = int_vars
-                    .iter()
-                    .all(|&j| (relax.values[j] - relax.values[j].round()).abs() <= INT_TOL);
-                if integral {
-                    let mut cand = relax.clone();
-                    round_integrals(&mut cand, &int_vars);
-                    cand.objective = model.eval_objective(&cand.values);
-                    cand.basis = None;
-                    if incumbent
-                        .as_ref()
-                        .is_none_or(|inc| better(cand.objective, inc.objective))
-                    {
-                        incumbent = Some(cand);
-                    }
-                }
-                break;
-            }
-            if let Some(inc) = &incumbent {
-                if !better(relax.objective, inc.objective) {
-                    continue; // prune by bound
-                }
-            }
-
-            // Find the most fractional integer variable (original space; a
-            // presolve-fixed integer variable is never fractional).
-            let mut branch_var: Option<(usize, f64)> = None;
-            for &j in &int_vars {
-                let v = relax.values[j];
-                let frac = (v - v.round()).abs();
-                if frac > INT_TOL {
-                    let distance_to_half = (frac - 0.5).abs();
-                    match branch_var {
-                        Some((_, best)) if distance_to_half >= best => {}
-                        _ => branch_var = Some((j, distance_to_half)),
-                    }
-                }
-            }
-
-            match branch_var {
-                None => {
-                    // Integral relaxation → candidate incumbent.
-                    let mut cand = relax.clone();
-                    round_integrals(&mut cand, &int_vars);
-                    cand.objective = model.eval_objective(&cand.values);
-                    cand.basis = None;
-                    if incumbent
-                        .as_ref()
-                        .is_none_or(|inc| better(cand.objective, inc.objective))
-                    {
-                        incumbent = Some(cand);
-                    }
-                }
-                Some((j, _)) => {
-                    // Rounding heuristic: try snapping every integer variable.
-                    if self.config.rounding_heuristic {
-                        if let Some(h) = rounding_heuristic(model, &relax, &int_vars) {
-                            if incumbent
-                                .as_ref()
-                                .is_none_or(|inc| better(h.objective, inc.objective))
-                            {
-                                incumbent = Some(h);
-                            }
-                        }
-                    }
-                    // Branch on variable j. Presolve preserves the column
-                    // layout, so the model index IS the standard-form column.
-                    let red_j = j;
-                    let v = relax.values[j];
-                    let floor = v.floor();
-                    let ceil = v.ceil();
-                    let (cur_lb, cur_ub) = current_bounds(&red, &node.overrides, red_j);
-                    let warm = relax.basis.map(Arc::new);
-
-                    let mut down = node.overrides.clone();
-                    down.push((red_j, cur_lb, floor.min(cur_ub)));
-                    let mut up = node.overrides.clone();
-                    up.push((red_j, ceil.max(cur_lb), cur_ub));
-
-                    for overrides in [down, up] {
-                        let (_, lo, hi) = overrides.last().copied().unwrap();
-                        if lo > hi + 1e-9 {
-                            continue; // empty branch
-                        }
-                        heap.push(HeapNode {
-                            score: score(relax.objective),
-                            node: Node {
-                                overrides,
-                                parent_bound: relax.objective,
-                                id: next_id,
-                                warm: warm.clone(),
-                            },
-                        });
-                        next_id += 1;
-                    }
-                }
-            }
         }
+        stats.nodes_explored += 1;
 
-        // If the heap drained, the bound collapses to the incumbent.
-        if heap.is_empty() && !hit_limit {
-            if let Some(inc) = &incumbent {
-                best_bound = inc.objective;
-            }
-        } else if let Some(top) = heap.peek() {
-            best_bound = top.node.parent_bound;
-        }
-
-        stats.solve_time = start.elapsed();
-        stats.best_bound = if root_budget_stopped {
-            f64::NAN
-        } else {
-            best_bound
-        };
-
-        match incumbent {
-            Some(mut inc) => {
-                let g = if root_budget_stopped {
-                    f64::INFINITY
-                } else {
-                    gap(best_bound, inc.objective)
-                };
-                stats.mip_gap = g;
-                inc.status = if g <= self.config.rel_gap.max(1e-6) && !hit_limit {
-                    SolveStatus::Optimal
-                } else if hit_limit || g > self.config.rel_gap.max(1e-6) {
-                    SolveStatus::Feasible
-                } else {
-                    SolveStatus::Optimal
-                };
-                inc.duals = Vec::new();
-                inc.stats = stats;
-                inc.basis = carried_basis;
-                Ok(inc)
-            }
+        // Solve this node's relaxation: shared standard form + this
+        // node's bound overrides, warm-started from the parent's basis.
+        let relax = match root_relax.take() {
+            Some(r) => r,
             None => {
-                // Budget exhausted with nothing to show: a typed error, so
-                // callers can tell "ran out of time" from "proved
-                // infeasible" and degrade accordingly.
-                if let Some(cause) = stats.budget_stop {
-                    return Err(LpError::Budget(cause));
+                // Per-node presolve: propagate the branching bounds
+                // through the rows (plus light probing) before paying for
+                // the LP. The tightenings land in the override list the
+                // dual simplex consumes; a propagation-proven infeasible
+                // node is pruned with no LP work at all.
+                if let Some(np) = node_presolver.as_mut() {
+                    match np.tighten(&mut node.overrides) {
+                        None => continue, // infeasible by propagation
+                        Some(t) => stats.node_tightenings += t,
+                    }
                 }
-                stats.mip_gap = f64::INFINITY;
-                Ok(Solution {
-                    status: if hit_limit {
-                        SolveStatus::LimitReached
-                    } else {
-                        SolveStatus::Infeasible
-                    },
-                    objective: f64::NAN,
-                    values: vec![0.0; model.num_vars()],
-                    duals: Vec::new(),
-                    stats,
-                    basis: carried_basis,
-                })
+                let warm = if config.warm_start {
+                    node.warm.as_deref()
+                } else {
+                    None
+                };
+                let red_sol = match simplex::solve_standard_form(
+                    &sf,
+                    num_red_vars,
+                    &node.overrides,
+                    warm,
+                    budget,
+                    &opts,
+                ) {
+                    Ok(s) => s,
+                    // Budget exhausted with no feasible point at this
+                    // node: keep whatever incumbent the tree already
+                    // produced; fail only if there is none.
+                    Err(LpError::Budget(cause)) => {
+                        if incumbent.is_some() {
+                            stats.budget_stop = stats.budget_stop.or(Some(cause));
+                            hit_limit = true;
+                            break;
+                        }
+                        return Err(LpError::Budget(cause));
+                    }
+                    Err(e) => return Err(e),
+                };
+                stats.absorb(&red_sol.stats);
+                post.recover(red_sol, model)
             }
+        };
+        if !relax.status.has_solution() {
+            continue; // infeasible branch
+        }
+        // A budget stop *inside* this node's LP left a feasible point
+        // that is not a valid bound: harvest it as an incumbent when it
+        // is integral (the common pure-LP case), then stop the search.
+        if stats.budget_stop.is_some() {
+            hit_limit = true;
+            let integral = int_vars
+                .iter()
+                .all(|&j| (relax.values[j] - relax.values[j].round()).abs() <= INT_TOL);
+            if integral {
+                let mut cand = relax.clone();
+                round_integrals(&mut cand, &int_vars);
+                cand.objective = model.eval_objective(&cand.values);
+                cand.basis = None;
+                if incumbent
+                    .as_ref()
+                    .is_none_or(|inc| better(cand.objective, inc.objective))
+                {
+                    incumbent = Some(cand);
+                }
+            }
+            break;
+        }
+        if let Some(inc) = &incumbent {
+            if !better(relax.objective, inc.objective) {
+                continue; // prune by bound
+            }
+        }
+
+        // Find the most fractional integer variable (original space; a
+        // presolve-fixed integer variable is never fractional).
+        let mut branch_var: Option<(usize, f64)> = None;
+        for &j in &int_vars {
+            let v = relax.values[j];
+            let frac = (v - v.round()).abs();
+            if frac > INT_TOL {
+                let distance_to_half = (frac - 0.5).abs();
+                match branch_var {
+                    Some((_, best)) if distance_to_half >= best => {}
+                    _ => branch_var = Some((j, distance_to_half)),
+                }
+            }
+        }
+
+        match branch_var {
+            None => {
+                // Integral relaxation → candidate incumbent.
+                let mut cand = relax.clone();
+                round_integrals(&mut cand, &int_vars);
+                cand.objective = model.eval_objective(&cand.values);
+                cand.basis = None;
+                if incumbent
+                    .as_ref()
+                    .is_none_or(|inc| better(cand.objective, inc.objective))
+                {
+                    incumbent = Some(cand);
+                }
+            }
+            Some((j, _)) => {
+                // Rounding heuristic: try snapping every integer variable.
+                if config.rounding_heuristic {
+                    if let Some(h) = rounding_heuristic(model, &relax, &int_vars) {
+                        if incumbent
+                            .as_ref()
+                            .is_none_or(|inc| better(h.objective, inc.objective))
+                        {
+                            incumbent = Some(h);
+                        }
+                    }
+                }
+                // Branch on variable j. Presolve preserves the column
+                // layout, so the model index IS the standard-form column.
+                let red_j = j;
+                let v = relax.values[j];
+                let floor = v.floor();
+                let ceil = v.ceil();
+                let (cur_lb, cur_ub) = current_bounds(&red, &node.overrides, red_j);
+                let warm = relax.basis.map(Arc::new);
+
+                let mut down = node.overrides.clone();
+                down.push((red_j, cur_lb, floor.min(cur_ub)));
+                let mut up = node.overrides.clone();
+                up.push((red_j, ceil.max(cur_lb), cur_ub));
+
+                for overrides in [down, up] {
+                    let (_, lo, hi) = overrides.last().copied().unwrap();
+                    if lo > hi + 1e-9 {
+                        continue; // empty branch
+                    }
+                    heap.push(HeapNode {
+                        score: score(relax.objective),
+                        node: Node {
+                            overrides,
+                            parent_bound: relax.objective,
+                            id: next_id,
+                            warm: warm.clone(),
+                        },
+                    });
+                    next_id += 1;
+                }
+            }
+        }
+    }
+
+    // If the heap drained, the bound collapses to the incumbent.
+    if heap.is_empty() && !hit_limit {
+        if let Some(inc) = &incumbent {
+            best_bound = inc.objective;
+        }
+    } else if let Some(top) = heap.peek() {
+        best_bound = top.node.parent_bound;
+    }
+
+    stats.solve_time = start.elapsed();
+    stats.best_bound = if root_budget_stopped {
+        f64::NAN
+    } else {
+        best_bound
+    };
+
+    match incumbent {
+        Some(mut inc) => {
+            let g = if root_budget_stopped {
+                f64::INFINITY
+            } else {
+                gap(best_bound, inc.objective)
+            };
+            stats.mip_gap = g;
+            inc.status = if g <= config.rel_gap.max(1e-6) && !hit_limit {
+                SolveStatus::Optimal
+            } else if hit_limit || g > config.rel_gap.max(1e-6) {
+                SolveStatus::Feasible
+            } else {
+                SolveStatus::Optimal
+            };
+            inc.duals = Vec::new();
+            inc.stats = stats;
+            inc.basis = carried_basis;
+            Ok(inc)
+        }
+        None => {
+            // Budget exhausted with nothing to show: a typed error, so
+            // callers can tell "ran out of time" from "proved
+            // infeasible" and degrade accordingly.
+            if let Some(cause) = stats.budget_stop {
+                return Err(LpError::Budget(cause));
+            }
+            stats.mip_gap = f64::INFINITY;
+            Ok(Solution {
+                status: if hit_limit {
+                    SolveStatus::LimitReached
+                } else {
+                    SolveStatus::Infeasible
+                },
+                objective: f64::NAN,
+                values: vec![0.0; model.num_vars()],
+                duals: Vec::new(),
+                stats,
+                basis: carried_basis,
+            })
         }
     }
 }
@@ -589,7 +564,7 @@ mod tests {
             ConstraintOp::Le,
             50.0,
         );
-        let sol = m.solve().unwrap();
+        let sol = m.solve(&MilpConfig::default(), None).unwrap();
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert_close(sol.objective, 220.0, 1e-6);
         assert_eq!(sol.int_value(x[0]), 0);
@@ -603,7 +578,7 @@ mod tests {
         let mut m = Model::new(Sense::Maximize);
         let x = m.add_var("x", 0.0, 10.0, 1.0, true);
         m.add_cons("c", &[(x, 2.0)], ConstraintOp::Le, 5.0);
-        let sol = m.solve().unwrap();
+        let sol = m.solve(&MilpConfig::default(), None).unwrap();
         assert_close(sol.objective, 2.0, 1e-9);
     }
 
@@ -613,7 +588,7 @@ mod tests {
         let x = m.add_binary_var("x", 1.0);
         let y = m.add_binary_var("y", 1.0);
         m.add_cons("c1", &[(x, 1.0), (y, 1.0)], ConstraintOp::Ge, 3.0);
-        let sol = m.solve().unwrap();
+        let sol = m.solve(&MilpConfig::default(), None).unwrap();
         assert_eq!(sol.status, SolveStatus::Infeasible);
     }
 
@@ -625,7 +600,7 @@ mod tests {
         let y = m.add_var("y", 0.0, 10.0, 1.0, false);
         m.add_cons("cx", &[(x, 1.0)], ConstraintOp::Le, 2.5);
         m.add_cons("cy", &[(y, 1.0)], ConstraintOp::Le, 1.3);
-        let sol = m.solve().unwrap();
+        let sol = m.solve(&MilpConfig::default(), None).unwrap();
         assert_close(sol.objective, 2.0 * 2.0 + 1.3, 1e-6);
         assert_close(sol.value(x), 2.0, 1e-9);
         assert_close(sol.value(y), 1.3, 1e-6);
@@ -640,7 +615,7 @@ mod tests {
             .collect();
         let terms: Vec<_> = xs.iter().map(|&x| (x, 1.0)).collect();
         m.add_cons("cap", &terms, ConstraintOp::Le, 4.0);
-        let sol = m.solve_with(&MilpConfig::early_stop(0.5)).unwrap();
+        let sol = m.solve(&MilpConfig::early_stop(0.5), None).unwrap();
         assert!(sol.has_solution());
         // Any solution must respect the cardinality constraint.
         let count: f64 = xs.iter().map(|&x| sol.value(x)).sum();
@@ -654,7 +629,7 @@ mod tests {
         let x = m.add_var("x", 0.0, 2.0, 1.0, true);
         let y = m.add_var("y", 0.0, 2.0, 0.0, true);
         m.add_cons("e", &[(x, 1.0), (y, 1.0)], ConstraintOp::Eq, 3.0);
-        let sol = m.solve().unwrap();
+        let sol = m.solve(&MilpConfig::default(), None).unwrap();
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert_close(sol.value(x), 2.0, 1e-9);
         assert_close(sol.value(y), 1.0, 1e-9);
@@ -686,7 +661,7 @@ mod tests {
             ConstraintOp::Ge,
             1.0,
         );
-        let sol = m.solve().unwrap();
+        let sol = m.solve(&MilpConfig::default(), None).unwrap();
         assert_close(sol.objective, 1.0, 1e-6);
     }
 
@@ -706,7 +681,7 @@ mod tests {
             node_limit: 1,
             ..Default::default()
         };
-        let sol = m.solve_with(&cfg).unwrap();
+        let sol = m.solve(&cfg, None).unwrap();
         assert!(matches!(
             sol.status,
             SolveStatus::Feasible | SolveStatus::LimitReached | SolveStatus::Optimal
@@ -724,8 +699,8 @@ mod tests {
             m.add_cons("cap", &terms, ConstraintOp::Le, 3.0);
             m
         };
-        let s1 = build().solve().unwrap();
-        let s2 = build().solve().unwrap();
+        let s1 = build().solve(&MilpConfig::default(), None).unwrap();
+        let s2 = build().solve(&MilpConfig::default(), None).unwrap();
         assert_eq!(s1.values, s2.values);
         assert_eq!(s1.objective, s2.objective);
     }
@@ -735,7 +710,7 @@ mod tests {
         let mut m = Model::new(Sense::Maximize);
         let x = m.add_var("x", 0.0, 3.0, 1.0, false);
         let _ = x;
-        let sol = m.solve().unwrap();
+        let sol = m.solve(&MilpConfig::default(), None).unwrap();
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert_close(sol.objective, 3.0, 1e-9);
     }
@@ -746,7 +721,7 @@ mod tests {
         let x = m.add_binary_var("x", 5.0);
         let y = m.add_binary_var("y", 4.0);
         m.add_cons("c", &[(x, 1.0), (y, 1.0)], ConstraintOp::Le, 1.0);
-        let sol = m.solve().unwrap();
+        let sol = m.solve(&MilpConfig::default(), None).unwrap();
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert!(sol.stats.mip_gap <= 1e-6);
         assert_close(sol.objective, 5.0, 1e-9);
@@ -779,8 +754,8 @@ mod tests {
             warm_start: false,
             ..Default::default()
         };
-        let warm = m.solve_with(&cfg_warm).unwrap();
-        let cold = m.solve_with(&cfg_cold).unwrap();
+        let warm = m.solve(&cfg_warm, None).unwrap();
+        let cold = m.solve(&cfg_cold, None).unwrap();
         assert_eq!(warm.status, SolveStatus::Optimal);
         assert_close(warm.objective, cold.objective, 1e-6);
         assert!(warm.stats.nodes_explored > 1, "model must branch");

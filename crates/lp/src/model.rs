@@ -6,7 +6,7 @@
 //! variables are present.
 
 use crate::error::LpError;
-use crate::milp::{MilpConfig, MilpSolver};
+use crate::milp::{self, MilpConfig};
 use crate::presolve;
 use crate::simplex;
 use crate::solution::{Solution, SolveStatus};
@@ -214,40 +214,30 @@ impl Model {
         Ok(())
     }
 
-    /// Solves the model as a pure LP (integrality requirements are relaxed).
+    /// Solves the model — the one model-level entry point: branch-and-bound
+    /// if integer variables are present, presolve plus the simplex otherwise.
     ///
-    /// Runs presolve, the two-phase simplex, and maps the solution back to the
-    /// original variable space.
-    pub fn solve_lp_relaxation(&self) -> Result<Solution, LpError> {
-        self.solve_lp_relaxation_warm(None)
-    }
-
-    /// Like [`Model::solve_lp_relaxation`], but warm-started from the basis of
-    /// a previous solve of the same (or an identically-shaped) model.
+    /// `config` carries the branch-and-bound limits and the cooperative
+    /// [`SolveBudget`](teccl_util::SolveBudget); a pure LP honours only the
+    /// budget. A budget stop mid-phase-2 returns the current primal-feasible
+    /// vertex as `Feasible` with `stats.budget_stop` set; a stop before any
+    /// feasible point exists fails with [`LpError::Budget`].
     ///
-    /// Presolve is layout-preserving (it only tightens bounds and frees
-    /// redundant rows), so the basis keeps its meaning regardless of how the
-    /// previous solve was presolved; a genuinely mismatched basis (different
-    /// model shape) silently falls back to a cold start. The returned
-    /// [`Solution::basis`] can be fed into the next call.
-    pub fn solve_lp_relaxation_warm(
+    /// `warm` is a basis a previous solve of an identically-shaped model
+    /// returned in [`Solution::basis`] (for MILPs: the root relaxation's
+    /// basis). Presolve is layout-preserving (it only tightens bounds and
+    /// frees redundant rows), so the carried basis stays valid no matter how
+    /// either model presolves; a genuinely mismatched basis silently falls
+    /// back to a cold start.
+    pub fn solve(
         &self,
+        config: &MilpConfig,
         warm: Option<&crate::basis::SimplexBasis>,
-    ) -> Result<Solution, LpError> {
-        self.solve_lp_relaxation_budgeted(warm, None)
-    }
-
-    /// [`Model::solve_lp_relaxation_warm`] under a cooperative
-    /// [`SolveBudget`](teccl_util::SolveBudget), checked once per pivot. A
-    /// budget stop mid-phase-2 returns the current primal-feasible vertex as
-    /// `Feasible` with `stats.budget_stop` set; a stop before primal
-    /// feasibility fails with [`LpError::Budget`].
-    pub fn solve_lp_relaxation_budgeted(
-        &self,
-        warm: Option<&crate::basis::SimplexBasis>,
-        budget: Option<&teccl_util::SolveBudget>,
     ) -> Result<Solution, LpError> {
         self.validate()?;
+        if self.is_mip() {
+            return milp::branch_and_bound(self, config, warm);
+        }
         let start = std::time::Instant::now();
         let (tightened, post) = presolve::presolve(self)?;
         let mut sol = if let Some(early) = post.trivial_outcome() {
@@ -255,43 +245,18 @@ impl Model {
         } else {
             let mut sf = crate::standard::StandardForm::from_model(&tightened);
             post.relax_free_rows(&mut sf);
-            simplex::solve_standard_form_budgeted(&sf, tightened.num_vars(), &[], warm, budget)?
+            simplex::solve_standard_form(
+                &sf,
+                tightened.num_vars(),
+                &[],
+                warm,
+                config.budget.as_ref(),
+                &simplex::SimplexOptions::default(),
+            )?
         };
         sol = post.recover(sol, self);
         sol.stats.solve_time = start.elapsed();
         Ok(sol)
-    }
-
-    /// Solves the model: branch-and-bound if integer variables are present,
-    /// plain LP otherwise. Uses the default [`MilpConfig`].
-    pub fn solve(&self) -> Result<Solution, LpError> {
-        self.solve_with(&MilpConfig::default())
-    }
-
-    /// Solves the model with an explicit MILP configuration (time limit,
-    /// relative-gap early stop, node limit). For pure LPs only the
-    /// cooperative budget is honoured; the B&B knobs are ignored.
-    pub fn solve_with(&self, config: &MilpConfig) -> Result<Solution, LpError> {
-        self.solve_with_warm(config, None)
-    }
-
-    /// Like [`Model::solve_with`], but warm-started from the basis a previous
-    /// solve of an identically-shaped model returned in [`Solution::basis`]
-    /// (for MILPs: the root relaxation's basis). Presolve preserves the
-    /// column layout, so the carried basis stays valid no matter how either
-    /// model presolves; a genuinely mismatched basis silently falls back to a
-    /// cold start.
-    pub fn solve_with_warm(
-        &self,
-        config: &MilpConfig,
-        warm: Option<&crate::basis::SimplexBasis>,
-    ) -> Result<Solution, LpError> {
-        self.validate()?;
-        if self.is_mip() {
-            MilpSolver::new(config.clone()).solve_from(self, warm)
-        } else {
-            self.solve_lp_relaxation_budgeted(warm, config.budget.as_ref())
-        }
     }
 
     /// Evaluates the objective for a candidate assignment (used by tests and

@@ -36,7 +36,7 @@
 //!
 //! Cold solves run a **dual-simplex phase 1 with cost shifting**: every row's
 //! slack starts basic at the row residual (`B = I`, trivially factorizable,
-//! artificials pinned at zero), [`crate::dual::make_dual_feasible`] flips or
+//! artificials pinned at zero), `dual::make_dual_feasible` flips or
 //! cost-shifts the wrong-signed reduced costs, and the dual simplex walks the
 //! out-of-bounds slacks back inside their bounds — reaching a primal-feasible,
 //! shifted-dual-optimal vertex that the true-cost phase 2 then certifies.
@@ -45,14 +45,13 @@
 //! typically lands next to the optimum. The artificial primal phase 1 is kept
 //! as a fallback for numerical failures, and dual unboundedness (a
 //! cost-independent Farkas certificate) reports primal infeasibility directly.
-//! Warm starts ([`solve_standard_form_from`]) rebuild the caller's basis and
-//! re-optimize with the same dual machinery — the hot path for
+//! Warm starts ([`solve_standard_form`] with a basis) rebuild the caller's
+//! basis and re-optimize with the same dual machinery — the hot path for
 //! branch-and-bound children.
 
 use crate::basis::{LuFactors, SimplexBasis, VarStatus};
 use crate::dual::{self, DualOutcome};
 use crate::error::LpError;
-use crate::model::Model;
 use crate::solution::{Solution, SolveStats, SolveStatus};
 use crate::sparse::SparseVec;
 use crate::standard::StandardForm;
@@ -87,7 +86,7 @@ pub enum PricingRule {
     Devex,
 }
 
-/// Tuning knobs for the simplex solve entry points. [`Default`] is what every
+/// Tuning knobs for [`solve_standard_form`]. [`Default`] is what every
 /// production caller uses; tests and benches override individual fields.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimplexOptions {
@@ -149,21 +148,8 @@ pub(crate) struct SimplexState<'a> {
     rows_a: Option<Vec<Vec<(u32, f64)>>>,
 }
 
-/// Solves the LP relaxation of `model` (integrality ignored) with the
-/// two-phase simplex and returns the solution in the model's variable space.
-pub fn solve_lp(model: &Model) -> Result<Solution, LpError> {
-    let sf = StandardForm::from_model(model);
-    solve_standard_form(&sf, model.num_vars())
-}
-
-/// Solves a prepared [`StandardForm`] from a cold (all-artificial) start.
-/// `num_model_vars` is the number of structural variables to report back.
-pub fn solve_standard_form(sf: &StandardForm, num_model_vars: usize) -> Result<Solution, LpError> {
-    solve_standard_form_from(sf, num_model_vars, &[], None)
-}
-
-/// Solves a [`StandardForm`] with per-column bound overrides, optionally
-/// warm-started from a previous solve's basis.
+/// Solves a [`StandardForm`] and reports the first `num_model_vars`
+/// structural values back — the one simplex entry point.
 ///
 /// * `overrides` — `(column, lb, ub)` triples replacing the form's bounds
 ///   (columns are standard-form indices; branch-and-bound uses structural
@@ -176,41 +162,14 @@ pub fn solve_standard_form(sf: &StandardForm, num_model_vars: usize) -> Result<S
 ///   rest cost-shifted, then dual pivots restore primal feasibility), and a
 ///   true-cost primal pass certifies. If the basis is stale (wrong shape) or
 ///   numerically unusable, the solver falls back to a cold start — the
-///   result is always correct.
-pub fn solve_standard_form_from(
-    sf: &StandardForm,
-    num_model_vars: usize,
-    overrides: &[(usize, f64, f64)],
-    warm: Option<&SimplexBasis>,
-) -> Result<Solution, LpError> {
-    solve_standard_form_budgeted(sf, num_model_vars, overrides, warm, None)
-}
-
-/// [`solve_standard_form_from`] with a cooperative [`SolveBudget`] checked
-/// once per pivot. When the budget trips mid-phase-2 the solver extracts the
-/// current primal-feasible vertex as a `Feasible` solution with
-/// [`SolveStats::budget_stop`] set; a budget stop before primal feasibility
-/// exists (phase 1, warm dual re-solve) returns [`LpError::Budget`].
-pub fn solve_standard_form_budgeted(
-    sf: &StandardForm,
-    num_model_vars: usize,
-    overrides: &[(usize, f64, f64)],
-    warm: Option<&SimplexBasis>,
-    budget: Option<&SolveBudget>,
-) -> Result<Solution, LpError> {
-    solve_standard_form_with_options(
-        sf,
-        num_model_vars,
-        overrides,
-        warm,
-        budget,
-        &SimplexOptions::default(),
-    )
-}
-
-/// [`solve_standard_form_budgeted`] with explicit [`SimplexOptions`]. The
-/// other entry points all funnel here with the default options.
-pub fn solve_standard_form_with_options(
+///   result is always correct. `None` starts cold.
+/// * `budget` — a cooperative [`SolveBudget`] checked once per pivot. When
+///   it trips mid-phase-2 the solver extracts the current primal-feasible
+///   vertex as a `Feasible` solution with [`SolveStats::budget_stop`] set; a
+///   budget stop before primal feasibility exists (phase 1, warm dual
+///   re-solve) returns [`LpError::Budget`].
+/// * `opts` — tuning knobs; production callers pass the default.
+pub fn solve_standard_form(
     sf: &StandardForm,
     num_model_vars: usize,
     overrides: &[(usize, f64, f64)],
@@ -1573,6 +1532,23 @@ mod tests {
     use super::*;
     use crate::model::{ConstraintOp, Model, Sense};
 
+    /// Cold solve of `model`'s LP relaxation, straight through the simplex
+    /// (no presolve).
+    fn solve_lp(model: &Model) -> Result<Solution, LpError> {
+        let sf = StandardForm::from_model(model);
+        solve(&sf, model.num_vars(), &[], None)
+    }
+
+    /// [`solve_standard_form`] with no budget and the default options.
+    fn solve(
+        sf: &StandardForm,
+        nv: usize,
+        overrides: &[(usize, f64, f64)],
+        warm: Option<&SimplexBasis>,
+    ) -> Result<Solution, LpError> {
+        solve_standard_form(sf, nv, overrides, warm, None, &SimplexOptions::default())
+    }
+
     fn assert_close(a: f64, b: f64, tol: f64) {
         assert!((a - b).abs() < tol, "expected {b}, got {a}");
     }
@@ -1780,11 +1756,11 @@ mod tests {
         m.add_cons("c2", &[(y, 2.0)], ConstraintOp::Le, 12.0);
         m.add_cons("c3", &[(x, 3.0), (y, 2.0)], ConstraintOp::Le, 18.0);
         let sf = StandardForm::from_model(&m);
-        let cold = solve_standard_form(&sf, 2).unwrap();
+        let cold = solve(&sf, 2, &[], None).unwrap();
         let basis = cold.basis.clone().unwrap();
         // Unchanged bounds: the warm re-solve must find the same optimum
         // nearly instantly.
-        let warm = solve_standard_form_from(&sf, 2, &[], Some(&basis)).unwrap();
+        let warm = solve(&sf, 2, &[], Some(&basis)).unwrap();
         assert_eq!(warm.status, SolveStatus::Optimal);
         assert_close(warm.objective, cold.objective, 1e-9);
         assert_eq!(warm.stats.warm_starts, 1);
@@ -1804,12 +1780,12 @@ mod tests {
         let y = m.add_var("y", 0.0, 7.0, -2.0, false);
         m.add_cons("cap", &[(x, 1.0), (y, 1.0)], ConstraintOp::Le, 10.0);
         let sf = StandardForm::from_model(&m);
-        let cold = solve_standard_form(&sf, 2).unwrap();
+        let cold = solve(&sf, 2, &[], None).unwrap();
         let basis = cold.basis.clone().unwrap();
         // Tighten x's upper bound below its optimal value (3) → re-solve.
         let overrides = [(0usize, 0.0, 1.5)];
-        let warm = solve_standard_form_from(&sf, 2, &overrides, Some(&basis)).unwrap();
-        let cold2 = solve_standard_form_from(&sf, 2, &overrides, None).unwrap();
+        let warm = solve(&sf, 2, &overrides, Some(&basis)).unwrap();
+        let cold2 = solve(&sf, 2, &overrides, None).unwrap();
         assert_eq!(warm.status, SolveStatus::Optimal);
         assert_close(warm.objective, cold2.objective, 1e-8);
         assert!(warm.values[0] <= 1.5 + 1e-9);
@@ -1824,12 +1800,12 @@ mod tests {
         let y = m.add_var("y", 0.0, 7.0, 1.0, false);
         m.add_cons("c", &[(x, 1.0), (y, 1.0)], ConstraintOp::Ge, 8.0);
         let sf = StandardForm::from_model(&m);
-        let cold = solve_standard_form(&sf, 2).unwrap();
+        let cold = solve(&sf, 2, &[], None).unwrap();
         let basis = cold.basis.clone().unwrap();
         let overrides = [(0usize, 0.0, 1.0), (1usize, 0.0, 1.0)];
-        let warm = solve_standard_form_from(&sf, 2, &overrides, Some(&basis)).unwrap();
+        let warm = solve(&sf, 2, &overrides, Some(&basis)).unwrap();
         assert_eq!(warm.status, SolveStatus::Infeasible);
-        let cold2 = solve_standard_form_from(&sf, 2, &overrides, None).unwrap();
+        let cold2 = solve(&sf, 2, &overrides, None).unwrap();
         assert_eq!(cold2.status, SolveStatus::Infeasible);
     }
 
@@ -1863,7 +1839,7 @@ mod tests {
         // iteration count.
         let n = 20;
         let sf = transportation_lp(n);
-        let cold = solve_standard_form(&sf, n * n).unwrap();
+        let cold = solve(&sf, n * n, &[], None).unwrap();
         assert_eq!(cold.status, SolveStatus::Optimal);
         let cold_iters = cold.stats.simplex_iterations;
         assert!(
@@ -1873,7 +1849,7 @@ mod tests {
         // Tighten the bound of a variable that is at 0 in the optimum.
         let idle = (0..n * n).find(|&j| cold.values[j] < 1e-9).unwrap();
         let overrides = [(idle, 0.0, 10.0)];
-        let warm = solve_standard_form_from(&sf, n * n, &overrides, cold.basis.as_ref()).unwrap();
+        let warm = solve(&sf, n * n, &overrides, cold.basis.as_ref()).unwrap();
         assert_eq!(warm.status, SolveStatus::Optimal);
         assert_close(warm.objective, cold.objective, 1e-6);
         assert!(
@@ -1901,7 +1877,7 @@ mod tests {
         let mut verified = false;
         for cap in 1..5000u64 {
             let budget = SolveBudget::with_iteration_cap(cap);
-            match solve_standard_form_with_options(&sf, n * n, &[], None, Some(&budget), &opts) {
+            match solve_standard_form(&sf, n * n, &[], None, Some(&budget), &opts) {
                 Err(LpError::Budget(_)) => continue, // tripped before feasibility
                 Err(e) => panic!("unexpected error at cap {cap}: {e:?}"),
                 Ok(sol) => {
@@ -1937,7 +1913,7 @@ mod tests {
             basic: vec![0, 1, 2],
             status: vec![VarStatus::AtLower],
         };
-        let sol = solve_standard_form_from(&sf, 1, &[], Some(&stale)).unwrap();
+        let sol = solve(&sf, 1, &[], Some(&stale)).unwrap();
         assert_eq!(sol.status, SolveStatus::Optimal);
         assert_close(sol.objective, 3.0, 1e-9);
         assert_eq!(sol.stats.cold_starts, 1);

@@ -7,7 +7,7 @@
 //! must keep its budget-stop contract on that shape.
 
 use teccl_lp::model::{ConstraintOp, Model, Sense};
-use teccl_lp::SolveStatus;
+use teccl_lp::{MilpConfig, SolveStatus};
 
 /// Small deterministic LCG so the corpus is stable across runs and platforms.
 struct Lcg(u64);
@@ -132,15 +132,18 @@ fn capped_budget_yields_feasible_incumbent_or_budget_error() {
     let mut tried = 0usize;
     for _ in 0..40 {
         let m = random_block_lp(&mut rng);
-        let full = match m.solve_lp_relaxation() {
+        let full = match m.solve(&MilpConfig::default(), None) {
             Ok(s) if s.status == SolveStatus::Optimal && s.stats.simplex_iterations >= 4 => s,
             _ => continue, // infeasible or presolved away: no pivots to cap
         };
         let total = full.stats.simplex_iterations;
         for cap in [total / 4, total / 2] {
             tried += 1;
-            let budget = teccl_lp::SolveBudget::with_iteration_cap(cap.max(1) as u64);
-            match m.solve_lp_relaxation_budgeted(None, Some(&budget)) {
+            let config = MilpConfig {
+                budget: Some(teccl_lp::SolveBudget::with_iteration_cap(cap.max(1) as u64)),
+                ..Default::default()
+            };
+            match m.solve(&config, None) {
                 Ok(sol) => {
                     if sol.stats.budget_stop.is_some() {
                         stopped += 1;

@@ -10,6 +10,7 @@
 use std::thread;
 
 use teccl_lp::model::{ConstraintOp, Model, Sense};
+use teccl_lp::MilpConfig;
 
 /// Small deterministic LCG so the corpus is stable across runs and platforms.
 struct Lcg(u64);
@@ -102,7 +103,7 @@ fn oversubscribed_bnb_matches_sequential() {
     let models: Vec<Model> = (0..40).map(|_| random_milp(&mut rng)).collect();
     let solve = |case: usize| {
         models[case]
-            .solve()
+            .solve(&MilpConfig::default(), None)
             .unwrap_or_else(|e| panic!("case {case}: {e}"))
     };
     let base: Vec<_> = (0..models.len()).map(solve).collect();

@@ -10,7 +10,7 @@
 use std::thread;
 
 use teccl_lp::model::{ConstraintOp, Model, Sense};
-use teccl_lp::{Solution, SolveStatus};
+use teccl_lp::{MilpConfig, Solution, SolveStatus};
 
 /// Small deterministic LCG so the corpus is stable across runs and platforms.
 struct Lcg(u64);
@@ -94,7 +94,7 @@ fn solve_all(models: &[Model], which: impl Iterator<Item = usize>) -> Vec<(usize
     which
         .map(|i| {
             let sol = models[i]
-                .solve()
+                .solve(&MilpConfig::default(), None)
                 .unwrap_or_else(|e| panic!("case {i}: {e}"));
             (i, sol)
         })

@@ -3,11 +3,19 @@
 //! after a bound change must agree with a from-scratch solve to 1e-6.
 
 use teccl_lp::model::{ConstraintOp, Model, Sense};
-use teccl_lp::simplex::{
-    solve_standard_form, solve_standard_form_from, solve_standard_form_with_options,
-};
+use teccl_lp::simplex::solve_standard_form;
 use teccl_lp::standard::StandardForm;
-use teccl_lp::{PricingRule, SimplexOptions, SolveStatus};
+use teccl_lp::{MilpConfig, PricingRule, SimplexBasis, SimplexOptions, Solution, SolveStatus};
+
+/// [`solve_standard_form`] with no budget and the default options.
+fn solve(
+    sf: &StandardForm,
+    nv: usize,
+    overrides: &[(usize, f64, f64)],
+    warm: Option<&SimplexBasis>,
+) -> Result<Solution, teccl_lp::LpError> {
+    solve_standard_form(sf, nv, overrides, warm, None, &SimplexOptions::default())
+}
 
 /// Small deterministic LCG so the corpus is stable across runs and platforms.
 struct Lcg(u64);
@@ -84,10 +92,10 @@ fn warm_and_cold_solves_agree_on_random_corpus() {
         let m = random_lp(&mut rng);
         let sf = StandardForm::from_model(&m);
         let nv = m.num_vars();
-        let cold = solve_standard_form(&sf, nv).unwrap_or_else(|e| panic!("case {case}: {e}"));
+        let cold = solve(&sf, nv, &[], None).unwrap_or_else(|e| panic!("case {case}: {e}"));
         if cold.status != SolveStatus::Optimal {
             // Infeasible instances are fine; just confirm determinism.
-            let again = solve_standard_form(&sf, nv).unwrap();
+            let again = solve(&sf, nv, &[], None).unwrap();
             assert_eq!(again.status, cold.status, "case {case}");
             continue;
         }
@@ -95,7 +103,7 @@ fn warm_and_cold_solves_agree_on_random_corpus() {
         let basis = cold.basis.clone().expect("optimal LP must return a basis");
 
         // Re-solve the *same* problem warm: identical objective required.
-        let resolve = solve_standard_form_from(&sf, nv, &[], Some(&basis)).unwrap();
+        let resolve = solve(&sf, nv, &[], Some(&basis)).unwrap();
         assert_eq!(resolve.status, SolveStatus::Optimal, "case {case}");
         assert!(
             (resolve.objective - cold.objective).abs() < 1e-6,
@@ -114,8 +122,8 @@ fn warm_and_cold_solves_agree_on_random_corpus() {
         } else {
             [(j, (xj - rng.range(0.0, 2.0)).max(lo).min(hi), hi)]
         };
-        let warm = solve_standard_form_from(&sf, nv, &overrides, Some(&basis)).unwrap();
-        let cold2 = solve_standard_form_from(&sf, nv, &overrides, None).unwrap();
+        let warm = solve(&sf, nv, &overrides, Some(&basis)).unwrap();
+        let cold2 = solve(&sf, nv, &overrides, None).unwrap();
         assert_eq!(
             warm.status, cold2.status,
             "case {case}: warm {:?} vs cold {:?} after override {overrides:?}",
@@ -157,9 +165,9 @@ fn steepest_edge_and_devex_agree_on_random_corpus() {
         let m = random_lp(&mut rng);
         let sf = StandardForm::from_model(&m);
         let nv = m.num_vars();
-        let a = solve_standard_form_with_options(&sf, nv, &[], None, None, &se)
+        let a = solve_standard_form(&sf, nv, &[], None, None, &se)
             .unwrap_or_else(|e| panic!("case {case} (steepest edge): {e}"));
-        let b = solve_standard_form_with_options(&sf, nv, &[], None, None, &devex)
+        let b = solve_standard_form(&sf, nv, &[], None, None, &devex)
             .unwrap_or_else(|e| panic!("case {case} (devex): {e}"));
         assert_eq!(
             a.status, b.status,
@@ -194,7 +202,7 @@ fn dual_resolves_agree_with_cold_over_bound_tightening_sequences() {
         let m = random_lp(&mut rng);
         let sf = StandardForm::from_model(&m);
         let nv = m.num_vars();
-        let cold = solve_standard_form(&sf, nv).unwrap_or_else(|e| panic!("case {case}: {e}"));
+        let cold = solve(&sf, nv, &[], None).unwrap_or_else(|e| panic!("case {case}: {e}"));
         if cold.status != SolveStatus::Optimal {
             continue;
         }
@@ -223,9 +231,9 @@ fn dual_resolves_agree_with_cold_over_bound_tightening_sequences() {
             overrides.retain(|&(k, _, _)| k != j);
             overrides.push((j, lo, hi));
 
-            let warm = solve_standard_form_from(&sf, nv, &overrides, Some(&basis))
+            let warm = solve(&sf, nv, &overrides, Some(&basis))
                 .unwrap_or_else(|e| panic!("case {case} step {step}: {e}"));
-            let cold2 = solve_standard_form_from(&sf, nv, &overrides, None)
+            let cold2 = solve(&sf, nv, &overrides, None)
                 .unwrap_or_else(|e| panic!("case {case} step {step}: {e}"));
             assert_eq!(
                 warm.status, cold2.status,
@@ -395,7 +403,9 @@ fn degenerate_alltoall_shaped_lp_solves_under_iteration_budget() {
         }
     }
 
-    let sol = m.solve().expect("alltoall-shaped LP solves");
+    let sol = m
+        .solve(&MilpConfig::default(), None)
+        .expect("alltoall-shaped LP solves");
     assert_eq!(sol.status, SolveStatus::Optimal);
     assert!(
         !sol.stats.iteration_limit_hit,
@@ -434,9 +444,9 @@ fn presolve_on_and_off_agree_and_share_one_column_space() {
         let m = random_lp(&mut rng);
         let nv = m.num_vars();
         let sf_raw = StandardForm::from_model(&m);
-        let raw = solve_standard_form(&sf_raw, nv).unwrap_or_else(|e| panic!("case {case}: {e}"));
+        let raw = solve(&sf_raw, nv, &[], None).unwrap_or_else(|e| panic!("case {case}: {e}"));
         let pre = m
-            .solve_lp_relaxation()
+            .solve(&MilpConfig::default(), None)
             .unwrap_or_else(|e| panic!("case {case}: {e}"));
         assert_eq!(
             pre.status, raw.status,
@@ -458,7 +468,7 @@ fn presolve_on_and_off_agree_and_share_one_column_space() {
         // form, and the raw solve's basis warm-starts a presolved re-solve.
         let (pre_basis, raw_basis) = (pre.basis.as_ref(), raw.basis.as_ref());
         if let Some(b) = pre_basis {
-            let w = solve_standard_form_from(&sf_raw, nv, &[], Some(b)).unwrap();
+            let w = solve(&sf_raw, nv, &[], Some(b)).unwrap();
             assert_eq!(w.status, SolveStatus::Optimal, "case {case}");
             assert_eq!(
                 w.stats.warm_starts, 1,
@@ -468,7 +478,7 @@ fn presolve_on_and_off_agree_and_share_one_column_space() {
             crossed += 1;
         }
         if let Some(b) = raw_basis {
-            let w = m.solve_lp_relaxation_warm(Some(b)).unwrap();
+            let w = m.solve(&MilpConfig::default(), Some(b)).unwrap();
             assert_eq!(w.status, SolveStatus::Optimal, "case {case}");
             assert_eq!(w.stats.warm_starts, 1, "case {case}: raw basis rejected");
             assert!((w.objective - raw.objective).abs() < 1e-6, "case {case}");
@@ -484,7 +494,6 @@ fn presolve_on_and_off_agree_and_share_one_column_space() {
 /// fire somewhere in the corpus.
 #[test]
 fn node_presolve_on_and_off_agree_on_random_milps() {
-    use teccl_lp::MilpConfig;
     let mut rng = Lcg(0x9e0d_e135);
     let mut solved = 0usize;
     let mut tightenings = 0usize;
@@ -508,17 +517,23 @@ fn node_presolve_on_and_off_agree_on_random_milps() {
             (2 + rng.below(nvars / 2)) as f64,
         );
         let on = m
-            .solve_with(&MilpConfig {
-                rounding_heuristic: false,
-                ..Default::default()
-            })
+            .solve(
+                &MilpConfig {
+                    rounding_heuristic: false,
+                    ..Default::default()
+                },
+                None,
+            )
             .unwrap_or_else(|e| panic!("case {case}: {e}"));
         let off = m
-            .solve_with(&MilpConfig {
-                rounding_heuristic: false,
-                node_presolve: false,
-                ..Default::default()
-            })
+            .solve(
+                &MilpConfig {
+                    rounding_heuristic: false,
+                    node_presolve: false,
+                    ..Default::default()
+                },
+                None,
+            )
             .unwrap_or_else(|e| panic!("case {case}: {e}"));
         assert_eq!(on.status, off.status, "case {case}");
         if on.status.has_solution() {
@@ -548,7 +563,6 @@ fn node_presolve_on_and_off_agree_on_random_milps() {
 
 #[test]
 fn milp_warm_and_cold_nodes_agree_on_random_corpus() {
-    use teccl_lp::MilpConfig;
     let mut rng = Lcg(0xdead_beef);
     let mut solved = 0usize;
     for case in 0..40 {
@@ -571,10 +585,10 @@ fn milp_warm_and_cold_nodes_agree_on_random_corpus() {
             ..Default::default()
         };
         let warm = m
-            .solve_with(&warm_cfg)
+            .solve(&warm_cfg, None)
             .unwrap_or_else(|e| panic!("case {case}: {e}"));
         let cold = m
-            .solve_with(&cold_cfg)
+            .solve(&cold_cfg, None)
             .unwrap_or_else(|e| panic!("case {case}: {e}"));
         assert_eq!(warm.status, cold.status, "case {case}");
         if warm.status.has_solution() {

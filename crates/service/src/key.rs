@@ -81,43 +81,11 @@ impl From<JsonError> for RequestError {
     }
 }
 
-/// Which formulation a request asks for (mirrors `teccl_bench::Method`; the
-/// service cannot depend on the bench crate).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum RequestMethod {
-    /// Automatic dispatch ([`teccl_core::TeCcl::solve`]).
-    #[default]
-    Auto,
-    /// The general MILP (§3.1).
-    Milp,
-    /// The copy-free LP (§4.1).
-    Lp,
-    /// The A* time-partitioned solver (§4.2).
-    AStar,
-}
-
-impl RequestMethod {
-    /// Stable wire / hash name.
-    pub fn name(self) -> &'static str {
-        match self {
-            RequestMethod::Auto => "auto",
-            RequestMethod::Milp => "milp",
-            RequestMethod::Lp => "lp",
-            RequestMethod::AStar => "astar",
-        }
-    }
-
-    /// Parses the wire name.
-    pub fn from_name(s: &str) -> Option<RequestMethod> {
-        Some(match s {
-            "auto" => RequestMethod::Auto,
-            "milp" => RequestMethod::Milp,
-            "lp" => RequestMethod::Lp,
-            "astar" => RequestMethod::AStar,
-            _ => return None,
-        })
-    }
-}
+/// Which formulation a request asks for: the solver's own [`Method`], whose
+/// `name` is the wire and cache-key name.
+///
+/// [`Method`]: teccl_core::Method
+pub use teccl_core::Method as RequestMethod;
 
 /// Stable wire / hash name of a collective kind.
 pub fn collective_name(kind: CollectiveKind) -> &'static str {

@@ -13,12 +13,13 @@
 //!   buffer-size bucketing.
 //! * [`cache`] — a bounded in-memory LRU over those keys plus an optional
 //!   on-disk store of `teccl-util`-JSON schedules, re-validated with
-//!   [`teccl_schedule::validate`] on every load.
+//!   [`teccl_schedule::validate()`] on every load.
 //! * [`service`] — the orchestrator: a `std::thread` worker pool with a
 //!   request queue, **single-flight** coalescing of identical concurrent
 //!   misses, and cross-request **warm starting** (completed solves publish
 //!   their final LP basis; cache-adjacent requests re-optimize from it via
-//!   `TeCcl::solve_from`).
+//!   [`teccl_core::TeCcl::solve`], the single dispatch point for the
+//!   request's method).
 //! * [`protocol`] / [`server`] — a line-delimited-JSON-over-TCP protocol
 //!   (`solve` / `stats` / `evict`) served by the `teccld` binary and driven
 //!   by the `teccl-cli` batch client.
