@@ -20,7 +20,7 @@ use teccl_schedule::Send;
 use teccl_topology::{NodeId, Topology};
 
 use crate::config::SolverConfig;
-use crate::epochs::{delta_epochs, kappa_epochs};
+use crate::epochs::effective_delay;
 use crate::error::TeCclError;
 use crate::milp_form::{MilpBuildOptions, MilpFormulation};
 
@@ -82,7 +82,7 @@ pub fn solve_astar_budgeted(
     let eff_delta: Vec<usize> = topology
         .links
         .iter()
-        .map(|l| delta_epochs(l, tau) + kappa_epochs(l, chunk_bytes, tau) - 1)
+        .map(|l| effective_delay(l, chunk_bytes, tau))
         .collect();
     let max_delta = eff_delta.iter().copied().max().unwrap_or(0);
     let epochs_per_round = config
@@ -122,32 +122,21 @@ pub fn solve_astar_budgeted(
     let mut final_basis: Option<SimplexBasis> = None;
     let mut cached_form: Option<MilpFormulation> = None;
 
-    for round in 0..config.astar_max_rounds {
+    let mut rounds = 0usize;
+    loop {
         // Budget check once per round (the per-pivot checks inside the
-        // round's MILP cover cancellation mid-round).
-        if let Some(b) = budget {
-            if let Some(cause) = b.exceeded() {
+        // round's MILP cover cancellation mid-round); once the rounds are
+        // exhausted only the final demand check below remains.
+        if rounds < config.astar_max_rounds {
+            if let Some(cause) = budget.and_then(|b| b.exceeded()) {
                 return Err(TeCclError::Budget(cause));
             }
         }
-        // Remaining demands: a triple is satisfied once the destination holds
-        // the chunk (or it is in flight towards it).
-        let mut remaining = DemandMatrix::new(demand.num_nodes, demand.num_chunks);
-        let mut remaining_count = 0usize;
-        for (s, c, d) in demand.iter() {
-            let held = holders.get(&(s.0, c)).is_some_and(|h| h.contains(&d));
-            let flying = in_flight
-                .iter()
-                .any(|(fs, fc, fd, _)| *fs == s && *fc == c && *fd == d);
-            if !held && !flying {
-                remaining.set(s, c, d);
-                remaining_count += 1;
-            }
-        }
+        let (remaining, remaining_count) = remaining_demand(demand, &holders, &in_flight);
         if remaining_count == 0 {
             return Ok(AStarOutcome {
                 sends: all_sends,
-                rounds: round,
+                rounds,
                 epochs_per_round,
                 solver_time: start.elapsed().as_secs_f64(),
                 initial_holders,
@@ -155,6 +144,14 @@ pub fn solve_astar_budgeted(
                 final_basis,
             });
         }
+        if rounds == config.astar_max_rounds {
+            return Err(TeCclError::AStarDidNotConverge {
+                rounds,
+                remaining_demands: remaining_count,
+            });
+        }
+        let round = rounds;
+        rounds += 1;
 
         // Terminal rewards: for every unsatisfied commodity and every GPU,
         // reward ending the round with the chunk near a destination.
@@ -266,7 +263,7 @@ pub fn solve_astar_budgeted(
             stalls += 1;
             if stalls >= 2 {
                 return Err(TeCclError::AStarDidNotConverge {
-                    rounds: round + 1,
+                    rounds,
                     remaining_demands: remaining_count,
                 });
             }
@@ -312,41 +309,51 @@ pub fn solve_astar_budgeted(
         }
         in_flight = new_in_flight;
     }
+}
 
-    // Final check after exhausting rounds.
-    let mut remaining_count = 0usize;
+/// The demands not yet met, and how many: a triple is satisfied once the
+/// destination holds the chunk or it is in flight towards it.
+fn remaining_demand(
+    demand: &DemandMatrix,
+    holders: &HashMap<(usize, usize), Vec<NodeId>>,
+    in_flight: &[(NodeId, usize, NodeId, usize)],
+) -> (DemandMatrix, usize) {
+    let mut remaining = DemandMatrix::new(demand.num_nodes, demand.num_chunks);
+    let mut count = 0usize;
     for (s, c, d) in demand.iter() {
         let held = holders.get(&(s.0, c)).is_some_and(|h| h.contains(&d));
         let flying = in_flight
             .iter()
             .any(|(fs, fc, fd, _)| *fs == s && *fc == c && *fd == d);
         if !held && !flying {
-            remaining_count += 1;
+            remaining.set(s, c, d);
+            count += 1;
         }
     }
-    if remaining_count == 0 {
-        Ok(AStarOutcome {
-            sends: all_sends,
-            rounds: config.astar_max_rounds,
-            epochs_per_round,
-            solver_time: start.elapsed().as_secs_f64(),
-            initial_holders,
-            stats,
-            final_basis,
-        })
-    } else {
-        Err(TeCclError::AStarDidNotConverge {
-            rounds: config.astar_max_rounds,
-            remaining_demands: remaining_count,
-        })
-    }
+    (remaining, count)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::SolverConfig;
+    use crate::epochs::delta_epochs;
     use teccl_topology::{line_topology, ring_topology};
+
+    /// Prunes `out`'s sends (1 MB chunks, 1 ms epochs) and asserts the
+    /// schedule validates, link capacities included.
+    fn assert_valid(topo: &Topology, demand: &DemandMatrix, out: &AStarOutcome) {
+        let pruned =
+            crate::extract::prune_sends(&out.sends, demand, &out.initial_holders, |a, b| {
+                topo.link_between(a, b)
+                    .map(|l| delta_epochs(l, 1e-3))
+                    .unwrap_or(0)
+            });
+        let schedule =
+            crate::extract::schedule_from_sends("astar", 1e6, 1e-3, pruned, out.solver_time);
+        let report = teccl_schedule::validate(topo, demand, &schedule, true);
+        assert!(report.is_valid(), "{:?}", report.errors);
+    }
 
     #[test]
     fn broadcast_line_converges_over_rounds() {
@@ -396,16 +403,7 @@ mod tests {
             ..Default::default()
         };
         let out = solve_astar_budgeted(&topo, &demand, 1e6, &config, 1e-3, None, None).unwrap();
-        let pruned =
-            crate::extract::prune_sends(&out.sends, &demand, &out.initial_holders, |a, b| {
-                topo.link_between(a, b)
-                    .map(|l| delta_epochs(l, 1e-3))
-                    .unwrap_or(0)
-            });
-        let schedule =
-            crate::extract::schedule_from_sends("astar", 1e6, 1e-3, pruned, out.solver_time);
-        let report = teccl_schedule::validate(&topo, &demand, &schedule, false);
-        assert!(report.is_valid(), "{:?}", report.errors);
+        assert_valid(&topo, &demand, &out);
     }
 
     #[test]
@@ -435,16 +433,27 @@ mod tests {
         let cold = solve_astar_budgeted(&topo, &demand, 1e6, &cold_cfg, 1e-3, None, None).unwrap();
         // Both variants deliver every demand within the same round budget.
         assert_eq!(out.rounds, cold.rounds);
-        let pruned =
-            crate::extract::prune_sends(&out.sends, &demand, &out.initial_holders, |a, b| {
-                topo.link_between(a, b)
-                    .map(|l| delta_epochs(l, 1e-3))
-                    .unwrap_or(0)
-            });
-        let schedule =
-            crate::extract::schedule_from_sends("astar-warm", 1e6, 1e-3, pruned, out.solver_time);
-        let report = teccl_schedule::validate(&topo, &demand, &schedule, false);
-        assert!(report.is_valid(), "{:?}", report.errors);
+        assert_valid(&topo, &demand, &out);
+    }
+
+    #[test]
+    fn no_store_and_forward_rounds_rebuild_and_stay_valid() {
+        // Relays 1 and 2 demand nothing, so they may not buffer in transit;
+        // the variable set follows the round state, so every round is a
+        // cold remaining-demand build instead of an in-place update.
+        let topo = line_topology(4, 1e9, 0.0);
+        let mut demand = DemandMatrix::new(4, 2);
+        demand.set(NodeId(0), 0, NodeId(3));
+        demand.set(NodeId(0), 1, NodeId(3));
+        demand.set(NodeId(3), 0, NodeId(0));
+        let config = SolverConfig {
+            astar_epochs_per_round: Some(2),
+            buffer_mode: crate::config::BufferMode::NoStoreAndForward,
+            ..Default::default()
+        };
+        let out = solve_astar_budgeted(&topo, &demand, 1e6, &config, 1e-3, None, None).unwrap();
+        assert!(out.rounds >= 2, "need several rounds, got {}", out.rounds);
+        assert_valid(&topo, &demand, &out);
     }
 
     #[test]

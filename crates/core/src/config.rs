@@ -66,7 +66,8 @@ pub struct SolverConfig {
     /// "early stop at 30%" uses `Some(0.3)`); `None` proves optimality.
     pub early_stop_gap: Option<f64>,
     /// Wall-clock limit for a single MILP solve (the paper uses 2 hours with
-    /// Gurobi; tests and benches use much smaller values).
+    /// Gurobi; tests and benches use much smaller values). `None` does not
+    /// mean unlimited: the solve falls back to a 600 s ceiling.
     pub time_limit: Option<Duration>,
     /// Epochs per A* round (§4.2: chosen so chunks arrive at most one round
     /// late). `None` = derive from the topology's maximum α-delay.
@@ -78,10 +79,6 @@ pub struct SolverConfig {
     /// Per-chunk objective weights for multi-tenant priorities (§5); indexed
     /// by chunk id, missing entries default to 1.0.
     pub chunk_priorities: Option<Vec<f64>>,
-    /// Whether branch-and-bound nodes re-solve from their parent's simplex
-    /// basis (Gurobi-style warm starts). On by default; disable only to
-    /// measure the cold-start cost.
-    pub warm_start: bool,
     /// Whether consecutive A* rounds carry the root relaxation's simplex
     /// basis so round `t+1` re-optimizes dually from round `t`'s basis.
     /// Rounds are built from the full commodity set (delivered commodities
@@ -92,14 +89,11 @@ pub struct SolverConfig {
     /// variable set depends on the round state); the A* solver silently
     /// falls back to per-round cold solves otherwise.
     ///
-    /// On by default: re-measured after the layout-preserving presolve
-    /// landed, warm rounds cut simplex iterations by ~35-45% and win wall
-    /// clock on the Table-4 A* scenarios (median of 7: internal1(2) AG 16 MB
-    /// 67.6 → 62.7 ms, internal2(2) AG 16 MB 4.7 → 3.8 ms, internal2(4) AG
-    /// 16 MB 60.8 → 56.9 ms). The exception is very short runs (2 rounds,
-    /// e.g. NDv2 x1 AG 4 MB: 35.6 → 42.8 ms) where there is almost no
-    /// cross-round reuse to amortize the full-commodity build — disable it
-    /// there if the difference matters.
+    /// On by default: since later rounds rewrite the cached formulation in
+    /// place ([`crate::milp_form::MilpFormulation::update_round`]), warm
+    /// rounds win all six A* scenarios of EXPERIMENTS.md's "A* cross-round
+    /// warm starts" table (median of 7, 1.15×–1.83×, NDv2 x1 AG 4 MB
+    /// included at 40.3 → 34.7 ms). Off is the cold per-round comparator.
     pub astar_warm_rounds: bool,
 }
 
@@ -117,7 +111,6 @@ impl Default for SolverConfig {
             astar_gamma: 0.5,
             astar_max_rounds: 64,
             chunk_priorities: None,
-            warm_start: true,
             astar_warm_rounds: true,
         }
     }

@@ -45,6 +45,12 @@ pub fn kappa_epochs(link: &Link, chunk_bytes: f64, tau: f64) -> usize {
     ((chunk_bytes / link.capacity) / tau).ceil().max(1.0) as usize
 }
 
+/// Effective forwarding delay of a link in epochs, δ + κ − 1 (Appendix F):
+/// a chunk sent at epoch `k` joins the receiver's buffer at `k + delay + 1`.
+pub fn effective_delay(link: &Link, chunk_bytes: f64, tau: f64) -> usize {
+    delta_epochs(link, tau) + kappa_epochs(link, chunk_bytes, tau) - 1
+}
+
 /// Fractional link capacity in chunks per epoch: T·τ expressed in chunks.
 pub fn capacity_chunks_per_epoch(link: &Link, chunk_bytes: f64, tau: f64) -> f64 {
     link.capacity * tau / chunk_bytes

@@ -17,7 +17,7 @@ use crate::config::{BufferMode, SolverConfig};
 use crate::epochs::{capacity_chunks_per_epoch, delta_epochs};
 use crate::error::TeCclError;
 use crate::extract::decompose_source_flow;
-use crate::milp_form::solve_formulation;
+use crate::milp_form::{check_demand, solve_formulation};
 
 /// A fully built LP instance for one copy-free collective optimization.
 #[derive(Debug)]
@@ -57,23 +57,7 @@ impl LpFormulation {
         num_epochs: usize,
         tau: f64,
     ) -> Result<Self, TeCclError> {
-        if demand.is_empty() {
-            return Err(TeCclError::EmptyDemand);
-        }
-        if demand.num_nodes != topology.num_nodes() {
-            return Err(TeCclError::InvalidDemand(format!(
-                "demand is over {} nodes but the topology has {}",
-                demand.num_nodes,
-                topology.num_nodes()
-            )));
-        }
-        for (s, _c, d) in demand.iter() {
-            if topology.is_switch(s) || topology.is_switch(d) {
-                return Err(TeCclError::InvalidDemand(format!(
-                    "demand endpoints must be GPUs (got {s} -> {d})"
-                )));
-            }
-        }
+        check_demand(topology, demand)?;
 
         let k_max = num_epochs;
         let delta: Vec<usize> = topology

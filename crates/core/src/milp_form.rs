@@ -16,7 +16,7 @@ use teccl_schedule::{ChunkId, Send};
 use teccl_topology::{NodeId, Topology};
 
 use crate::config::{BufferMode, SolverConfig, SwitchModel};
-use crate::epochs::{capacity_chunks_per_epoch, delta_epochs, kappa_epochs};
+use crate::epochs::{capacity_chunks_per_epoch, effective_delay, kappa_epochs};
 use crate::error::TeCclError;
 use crate::switch::HyperEdgeGroup;
 
@@ -67,7 +67,7 @@ pub struct MilpFormulation {
     f_vars: HashMap<(usize, usize, usize, usize), VarId>,
     b_vars: HashMap<(usize, usize, usize, usize), VarId>,
     r_vars: HashMap<(usize, usize, usize, usize), VarId>,
-    initial_holders: HashMap<(usize, usize), Vec<NodeId>>,
+    initial_holders: Holders,
     /// Commodities in build order — the layout key a round update must match.
     commodities: Vec<(NodeId, usize)>,
     /// All-pairs distances in epochs (link cost `eff_delta + 1`), kept so
@@ -96,87 +96,18 @@ impl MilpFormulation {
         tau: f64,
         options: &MilpBuildOptions,
     ) -> Result<Self, TeCclError> {
-        if demand.is_empty() {
-            return Err(TeCclError::EmptyDemand);
-        }
-        if demand.num_nodes != topology.num_nodes() {
-            return Err(TeCclError::InvalidDemand(format!(
-                "demand is over {} nodes but the topology has {}",
-                demand.num_nodes,
-                topology.num_nodes()
-            )));
-        }
-        for (s, _c, d) in demand.iter() {
-            if topology.is_switch(s) || topology.is_switch(d) {
-                return Err(TeCclError::InvalidDemand(format!(
-                    "demand endpoints must be GPUs (got {s} -> {d})"
-                )));
-            }
-        }
+        check_demand(topology, demand)?;
 
         let k_max = num_epochs;
         let eff_delta: Vec<usize> = topology
             .links
             .iter()
-            .map(|l| delta_epochs(l, tau) + kappa_epochs(l, chunk_bytes, tau) - 1)
+            .map(|l| effective_delay(l, chunk_bytes, tau))
             .collect();
-
-        // Chunks in use and their initial holders.
-        let mut commodities: Vec<(NodeId, usize)> = Vec::new();
-        let mut initial_holders: HashMap<(usize, usize), Vec<NodeId>> = HashMap::new();
-        for s in topology.gpus() {
-            for c in 0..demand.num_chunks {
-                if demand.chunk_in_use(s, c) {
-                    commodities.push((s, c));
-                    initial_holders.insert((s.0, c), vec![s]);
-                }
-            }
-        }
-        for (s, c, holder) in &options.extra_initial {
-            initial_holders.entry((s.0, *c)).or_default().push(*holder);
-            if !commodities.contains(&(*s, *c)) {
-                commodities.push((*s, *c));
-            }
-        }
-
-        // Earliest epoch a chunk can possibly be present at each node.
+        let (commodities, initial_holders) =
+            commodities_and_holders(topology, demand, &options.extra_initial);
         // Link cost in epochs: eff_delta + 1 (one epoch to issue the send).
-        // Applied below as *bound fixing* (variables before that epoch are
-        // created and pinned to zero), never as variable elision, so the
-        // reachability state carried into a round changes bounds but not the
-        // model's layout.
         let pm = teccl_topology::floyd_warshall(topology, |l| (eff_delta[l.id.0] + 1) as f64);
-        let earliest = |s: NodeId, c: usize, n: NodeId| -> usize {
-            let mut best = usize::MAX;
-            if let Some(holders) = initial_holders.get(&(s.0, c)) {
-                for &h in holders {
-                    let d = pm.distance(h, n);
-                    if d.is_finite() {
-                        best = best.min(d as usize);
-                    }
-                }
-            }
-            for (fs, fc, fn_, vis) in &options.in_flight {
-                if fs.0 == s.0 && *fc == c {
-                    let d = pm.distance(*fn_, n);
-                    if d.is_finite() {
-                        best = best.min(vis + d as usize);
-                    }
-                }
-            }
-            best
-        };
-
-        let init_buffer = |s: NodeId, c: usize, n: NodeId| -> f64 {
-            if initial_holders
-                .get(&(s.0, c))
-                .is_some_and(|h| h.contains(&n))
-            {
-                1.0
-            } else {
-                0.0
-            }
-        };
 
         // Which (s, c, n) triples get buffer variables.
         let is_buffered = |s: NodeId, c: usize, n: NodeId| -> bool {
@@ -186,7 +117,7 @@ impl MilpFormulation {
             match config.buffer_mode {
                 BufferMode::Unlimited | BufferMode::LimitedChunks(_) => true,
                 BufferMode::NoStoreAndForward => {
-                    init_buffer(s, c, n) > 0.0 || demand.wants(s, c, n)
+                    holds(&initial_holders, s, c, n) || demand.wants(s, c, n)
                 }
             }
         };
@@ -201,19 +132,15 @@ impl MilpFormulation {
         //
         // Every commodity gets variables for every link / node / epoch: the
         // layout depends only on the topology, the demand's *shape*, and the
-        // epoch count. Reachability pruning (`earliest`) is applied as bound
-        // fixing (`lb == ub == 0`) rather than by skipping creation — the
-        // layout-preserving presolve pins those columns, so the model solves
-        // at the pruned size while two rounds built from the same demand
-        // shape stay identically shaped (only bounds, right-hand sides, and
-        // objective weights differ). That is what lets A* round `t+1`
-        // warm-start from round `t`'s root basis with presolve on.
-        let frozen: std::collections::HashSet<(usize, usize)> =
-            options.frozen.iter().map(|&(s, c)| (s.0, c)).collect();
+        // epoch count. Round state (reachability, frozen commodities,
+        // first-epoch holders, terminal rewards) is written afterwards by
+        // `apply_round` as bounds, right-hand sides and objective weights —
+        // the layout-preserving presolve pins the fixed columns, so the model
+        // solves at the pruned size while two rounds built from the same
+        // demand shape stay identically shaped. That is what lets A* round
+        // `t+1` warm-start from round `t`'s root basis with presolve on.
         for &(s, c) in &commodities {
-            let is_frozen = frozen.contains(&(s.0, c));
             for link in &topology.links {
-                let e0 = earliest(s, c, link.src);
                 for k in 0..k_max {
                     let v = model.add_var(
                         format!("F[{s},{c},{}->{},{k}]", link.src, link.dst),
@@ -222,9 +149,6 @@ impl MilpFormulation {
                         0.0,
                         true,
                     );
-                    if is_frozen || k < e0 {
-                        model.set_bounds(v, 0.0, 0.0);
-                    }
                     f_vars.insert((s.0, c, link.id.0, k), v);
                 }
             }
@@ -232,7 +156,6 @@ impl MilpFormulation {
                 if !is_buffered(s, c, n) {
                     continue;
                 }
-                let e0 = earliest(s, c, n);
                 for k in 1..=k_max {
                     let v = model.add_var(
                         format!("B[{s},{c},{n},{k}]"),
@@ -241,9 +164,6 @@ impl MilpFormulation {
                         0.0,
                         false,
                     );
-                    if k < e0.max(1) {
-                        model.set_bounds(v, 0.0, 0.0);
-                    }
                     b_vars.insert((s.0, c, n.0, k), v);
                 }
                 if let BufferMode::LimitedChunks(_) = config.buffer_mode {
@@ -259,14 +179,6 @@ impl MilpFormulation {
                 let weight = config.chunk_priority(c) / (k as f64 + 1.0);
                 let v = model.add_var(format!("R[{s},{c},{d},{k}]"), 0.0, 1.0, weight, false);
                 r_vars.insert((s.0, c, d.0, k), v);
-            }
-        }
-
-        // Terminal rewards (A*): weight on B[s,c,n,K].
-        for (s, c, n, w) in &options.terminal_rewards {
-            if let Some(&b) = b_vars.get(&(s.0, *c, n.0, k_max)) {
-                let cur = model.vars[b.index()].obj;
-                model.set_obj(b, cur + w);
             }
         }
 
@@ -307,23 +219,11 @@ impl MilpFormulation {
             }
         }
 
-        // ----- Flow conservation & first-epoch constraints -------------------
+        // ----- Flow conservation ---------------------------------------------
         let mut flow_rows: Vec<(usize, (usize, usize, usize, usize))> = Vec::new();
         for &(s, c) in &commodities {
             for node in topology.nodes.iter().map(|n| n.id) {
-                let is_sw = topology.is_switch(node);
-                let noncopy_switch = is_sw && config.switch_model == SwitchModel::NonCopy;
-
-                // First epoch: can only send what is initially held.
-                for link in topology.out_links(node) {
-                    if let Some(&v) = f_vars.get(&(s.0, c, link.id.0, 0)) {
-                        if init_buffer(s, c, node) < 0.5 {
-                            model.set_bounds(v, 0.0, 0.0);
-                        }
-                    }
-                }
-
-                if noncopy_switch {
+                if topology.is_switch(node) && config.switch_model == SwitchModel::NonCopy {
                     // Traditional conservation: inflow (delayed) equals outflow
                     // in the next epoch.
                     for k in 0..k_max {
@@ -358,7 +258,9 @@ impl MilpFormulation {
 
                 // Copy-capable node (GPU or SHArP switch): for each outgoing
                 // link, outflow at k+1 must be covered by the buffer at k plus
-                // inflow arriving by the end of k.
+                // inflow arriving by the end of k. The buffer's constant value
+                // at epoch 0 / unbuffered nodes and in-flight arrivals that
+                // joined by epoch k live in the rhs.
                 for k in 0..k_max.saturating_sub(1) {
                     for outl in topology.out_links(node) {
                         let out_v = match f_vars.get(&(s.0, c, outl.id.0, k + 1)) {
@@ -366,23 +268,9 @@ impl MilpFormulation {
                             None => continue,
                         };
                         let mut terms: Vec<(VarId, f64)> = vec![(out_v, -1.0)];
-                        let mut rhs = 0.0;
-                        // Buffer term (or its constant value at epoch 0 /
-                        // unbuffered nodes).
-                        if k == 0 {
-                            rhs -= init_buffer(s, c, node);
-                        } else if let Some(&b) = b_vars.get(&(s.0, c, node.0, k)) {
-                            terms.push((b, 1.0));
-                        }
-                        // In-flight constants that joined the buffer by epoch k.
-                        for (fs, fc, fnode, vis) in &options.in_flight {
-                            if fs.0 == s.0 && *fc == c && fnode.0 == node.0 && *vis <= k {
-                                // Only counts when no buffer variable already
-                                // carries it (buffered nodes absorb arrivals in
-                                // the buffer-evolution constraint below).
-                                if !b_vars.contains_key(&(s.0, c, node.0, k.max(1))) {
-                                    rhs -= 1.0;
-                                }
+                        if k > 0 {
+                            if let Some(&b) = b_vars.get(&(s.0, c, node.0, k)) {
+                                terms.push((b, 1.0));
                             }
                         }
                         // Inflow arriving by end of epoch k.
@@ -396,7 +284,7 @@ impl MilpFormulation {
                             format!("flow[{s},{c},{node},{k},{}]", outl.dst),
                             &terms,
                             ConstraintOp::Ge,
-                            rhs,
+                            0.0,
                         );
                         flow_rows.push((row, (s.0, c, node.0, k)));
                     }
@@ -405,6 +293,8 @@ impl MilpFormulation {
         }
 
         // ----- Buffer evolution ----------------------------------------------
+        // The initial buffer (k = 1) and carried-over in-flight arrivals live
+        // in the rhs.
         let mut buf_rows: Vec<(usize, (usize, usize, usize, usize))> = Vec::new();
         for &(s, c) in &commodities {
             for node in topology.gpus() {
@@ -417,12 +307,11 @@ impl MilpFormulation {
                         None => continue,
                     };
                     let mut terms: Vec<(VarId, f64)> = vec![(b_k, 1.0)];
-                    let mut rhs = 0.0;
                     // Previous buffer value.
-                    if k == 1 {
-                        rhs += init_buffer(s, c, node);
-                    } else if let Some(&b_prev) = b_vars.get(&(s.0, c, node.0, k - 1)) {
-                        terms.push((b_prev, -1.0));
+                    if k > 1 {
+                        if let Some(&b_prev) = b_vars.get(&(s.0, c, node.0, k - 1)) {
+                            terms.push((b_prev, -1.0));
+                        }
                     }
                     // Eviction (limited buffers, Appendix B).
                     if let Some(&x) = x_vars.get(&(s.0, c, node.0, k - 1)) {
@@ -435,17 +324,11 @@ impl MilpFormulation {
                             terms.push((v, -1.0));
                         }
                     }
-                    // Carried-over in-flight arrivals joining at epoch k.
-                    for (fs, fc, fnode, vis) in &options.in_flight {
-                        if fs.0 == s.0 && *fc == c && fnode.0 == node.0 && *vis == k {
-                            rhs += 1.0;
-                        }
-                    }
                     let row = model.add_cons(
                         format!("buf[{s},{c},{node},{k}]"),
                         &terms,
                         ConstraintOp::Eq,
-                        rhs,
+                        0.0,
                     );
                     buf_rows.push((row, (s.0, c, node.0, k)));
                 }
@@ -475,31 +358,24 @@ impl MilpFormulation {
         // ----- Destination constraints ----------------------------------------
         for (s, c, d) in demand.iter() {
             for k in 0..k_max {
-                let r = r_vars[&(s.0, c, d.0, k)];
-                match b_vars.get(&(s.0, c, d.0, k + 1)) {
-                    Some(&b) => {
-                        model.add_cons(
-                            format!("read[{s},{c},{d},{k}]"),
-                            &[(r, 1.0), (b, -1.0)],
-                            ConstraintOp::Le,
-                            0.0,
-                        );
-                    }
-                    None => {
-                        // The chunk cannot be at d by epoch k+1 (or the node is
-                        // not buffered there): no reward possible.
-                        if init_buffer(s, c, d) < 0.5 {
-                            model.set_bounds(r, 0.0, 0.0);
-                        }
-                    }
+                // Without a buffer variable at k+1 there is no read row; the
+                // read is bounded by whether `d` holds the chunk initially.
+                if let Some(&b) = b_vars.get(&(s.0, c, d.0, k + 1)) {
+                    let r = r_vars[&(s.0, c, d.0, k)];
+                    model.add_cons(
+                        format!("read[{s},{c},{d},{k}]"),
+                        &[(r, 1.0), (b, -1.0)],
+                        ConstraintOp::Le,
+                        0.0,
+                    );
                 }
             }
             if !options.relax_completion {
                 // R[s,c,d,K-1] = D (§3.1): the demand must be met by the last
                 // epoch. Expressed as `>= 1` (the bound `<= 1` already holds);
                 // if the chunk structurally cannot reach `d` within K epochs
-                // the variable is fixed to 0 above and presolve proves the
-                // model infeasible.
+                // the variable is fixed to 0 and presolve proves the model
+                // infeasible.
                 let r_last = r_vars[&(s.0, c, d.0, k_max - 1)];
                 model.add_cons(
                     format!("done[{s},{c},{d}]"),
@@ -574,12 +450,7 @@ impl MilpFormulation {
             }
         }
 
-        let mut holders = HashMap::new();
-        for (k, v) in &initial_holders {
-            holders.insert(*k, v.clone());
-        }
-
-        Ok(Self {
+        let mut form = Self {
             model,
             tau,
             num_epochs: k_max,
@@ -589,21 +460,21 @@ impl MilpFormulation {
             f_vars,
             b_vars,
             r_vars,
-            initial_holders: holders,
+            initial_holders,
             commodities,
             pm,
             flow_rows,
             buf_rows,
             built_relax_completion: options.relax_completion,
             built_hyperedge_groups: options.hyperedge_groups.len(),
-        })
+        };
+        form.apply_round(options);
+        Ok(form)
     }
 
-    /// Rewrites the round-varying parts of an already-built formulation —
-    /// variable bounds (reachability / frozen / first-epoch pins), objective
-    /// weights (terminal rewards), and flow/buffer right-hand sides — so the
-    /// model matches what [`MilpFormulation::build`] would produce for the new
-    /// `options`, without reallocating the model.
+    /// Rewrites the round-varying parts of an already-built formulation for
+    /// new `options` without reallocating the model; afterwards the model is
+    /// exactly what [`MilpFormulation::build`] would produce for them.
     ///
     /// This is the A* warm-round fast path: two rounds built from the same
     /// demand shape differ only in bounds, rhs and objective, and rebuilding
@@ -612,7 +483,7 @@ impl MilpFormulation {
     /// topology, demand shape, epoch count, chunk size and config as the
     /// original build; it returns `false` — leaving the formulation in a
     /// stale but structurally intact state — when the new inputs would change
-    /// the model *layout* (new commodities, a different demand shape, a
+    /// the model *layout* (a different commodity list or demand shape, a
     /// buffer mode whose variable set depends on round state, a different
     /// completion/hyperedge setup). On `false` the caller must rebuild.
     pub fn update_round(
@@ -634,31 +505,14 @@ impl MilpFormulation {
         {
             return false;
         }
-
         // The commodity list must match the built layout exactly (same
-        // demand, same build order); a commodity introduced purely by
-        // `extra_initial` would have added variables at build time.
-        let mut commodities: Vec<(NodeId, usize)> = Vec::new();
-        let mut initial_holders: HashMap<(usize, usize), Vec<NodeId>> = HashMap::new();
-        for s in self.topology.gpus() {
-            for c in 0..demand.num_chunks {
-                if demand.chunk_in_use(s, c) {
-                    commodities.push((s, c));
-                    initial_holders.insert((s.0, c), vec![s]);
-                }
-            }
-        }
-        for (s, c, holder) in &options.extra_initial {
-            initial_holders.entry((s.0, *c)).or_default().push(*holder);
-            if !commodities.contains(&(*s, *c)) {
-                return false;
-            }
-        }
+        // demand, same build order, same `extra_initial`-only commodities).
+        let (commodities, initial_holders) =
+            commodities_and_holders(&self.topology, demand, &options.extra_initial);
         if commodities != self.commodities {
             return false;
         }
         // The reward variables are keyed by the demand's triples.
-        let k_max = self.num_epochs;
         let mut triples = 0usize;
         for (s, c, d) in demand.iter() {
             if !self.r_vars.contains_key(&(s.0, c, d.0, 0)) {
@@ -666,15 +520,34 @@ impl MilpFormulation {
             }
             triples += 1;
         }
-        if triples * k_max != self.r_vars.len() {
+        if triples * self.num_epochs != self.r_vars.len() {
             return false;
         }
 
+        self.initial_holders = initial_holders;
+        self.apply_round(options);
+        true
+    }
+
+    /// Writes every round-varying bound, right-hand side and objective
+    /// weight from `self.initial_holders` and `options`, over a model whose
+    /// layout is already built.
+    fn apply_round(&mut self, options: &MilpBuildOptions) {
+        let k_max = self.num_epochs;
+        let holders = &self.initial_holders;
         let pm = &self.pm;
+        let b_vars = &self.b_vars;
+        let model = &mut self.model;
+
+        // Earliest epoch a chunk can possibly be present at each node:
+        // distance from its nearest holder, or from an in-flight arrival.
+        // Applied as *bound fixing* (variables before that epoch are pinned
+        // to zero), never as variable elision, so the reachability state
+        // carried into a round changes bounds but not the model's layout.
         let earliest = |s: NodeId, c: usize, n: NodeId| -> usize {
             let mut best = usize::MAX;
-            if let Some(holders) = initial_holders.get(&(s.0, c)) {
-                for &h in holders {
+            if let Some(hs) = holders.get(&(s.0, c)) {
+                for &h in hs {
                     let d = pm.distance(h, n);
                     if d.is_finite() {
                         best = best.min(d as usize);
@@ -691,102 +564,93 @@ impl MilpFormulation {
             }
             best
         };
-        let init_buffer = |s: NodeId, c: usize, n: NodeId| -> f64 {
-            if initial_holders
-                .get(&(s.0, c))
-                .is_some_and(|h| h.contains(&n))
-            {
-                1.0
-            } else {
-                0.0
-            }
-        };
 
         // Flow bounds: frozen commodities, epochs before reachability, and
-        // the first-epoch "can only send what is initially held" pin.
+        // the first-epoch "can only send what is initially held" pin. Buffer
+        // bounds: epochs before reachability.
         let frozen: std::collections::HashSet<(usize, usize)> =
             options.frozen.iter().map(|&(s, c)| (s.0, c)).collect();
         for &(s, c) in &self.commodities {
             let is_frozen = frozen.contains(&(s.0, c));
             for link in &self.topology.links {
                 let e0 = earliest(s, c, link.src);
-                let first_pinned = init_buffer(s, c, link.src) < 0.5;
+                let first_pinned = !holds(holders, s, c, link.src);
                 for k in 0..k_max {
                     let v = self.f_vars[&(s.0, c, link.id.0, k)];
                     if is_frozen || k < e0 || (k == 0 && first_pinned) {
-                        self.model.set_bounds(v, 0.0, 0.0);
+                        model.set_bounds(v, 0.0, 0.0);
                     } else {
-                        self.model.set_bounds(v, 0.0, 1.0);
+                        model.set_bounds(v, 0.0, 1.0);
+                    }
+                }
+            }
+            for n in self.topology.nodes.iter().map(|n| n.id) {
+                let e0 = earliest(s, c, n).max(1);
+                for k in 1..=k_max {
+                    // Unbuffered nodes have no buffer variables at all.
+                    let Some(&v) = b_vars.get(&(s.0, c, n.0, k)) else {
+                        break;
+                    };
+                    let ub = if k < e0 { 0.0 } else { f64::INFINITY };
+                    model.set_bounds(v, 0.0, ub);
+                    // Terminal rewards only ever land on `B[s,c,n,K]`:
+                    // clear the previous round's before adding this one's.
+                    if k == k_max {
+                        model.set_obj(v, 0.0);
                     }
                 }
             }
         }
-
-        // Buffer bounds (reachability) and objective (terminal rewards only
-        // ever land on `B[s,c,n,K]`, so clearing those resets the previous
-        // round's rewards).
-        for (&(s, c, n, k), &v) in &self.b_vars {
-            if k < earliest(NodeId(s), c, NodeId(n)).max(1) {
-                self.model.set_bounds(v, 0.0, 0.0);
-            } else {
-                self.model.set_bounds(v, 0.0, f64::INFINITY);
-            }
-            if k == k_max {
-                self.model.set_obj(v, 0.0);
-            }
-        }
         for (s, c, n, w) in &options.terminal_rewards {
-            if let Some(&b) = self.b_vars.get(&(s.0, *c, n.0, k_max)) {
-                let cur = self.model.vars[b.index()].obj;
-                self.model.set_obj(b, cur + w);
+            if let Some(&b) = b_vars.get(&(s.0, *c, n.0, k_max)) {
+                let cur = model.vars[b.index()].obj;
+                model.set_obj(b, cur + w);
             }
         }
 
         // Read bounds: a destination with no buffer variable at k+1 can only
         // collect the reward when it already holds the chunk.
         for (&(s, c, d, k), &r) in &self.r_vars {
-            if !self.b_vars.contains_key(&(s, c, d, k + 1))
-                && init_buffer(NodeId(s), c, NodeId(d)) < 0.5
-            {
-                self.model.set_bounds(r, 0.0, 0.0);
+            if !b_vars.contains_key(&(s, c, d, k + 1)) && !holds(holders, NodeId(s), c, NodeId(d)) {
+                model.set_bounds(r, 0.0, 0.0);
             } else {
-                self.model.set_bounds(r, 0.0, 1.0);
+                model.set_bounds(r, 0.0, 1.0);
             }
         }
 
         // Right-hand sides carrying initial-buffer and in-flight constants.
         for &(row, (s, c, n, k)) in &self.flow_rows {
             let mut rhs = 0.0;
-            if k == 0 {
-                rhs -= init_buffer(NodeId(s), c, NodeId(n));
+            if k == 0 && holds(holders, NodeId(s), c, NodeId(n)) {
+                rhs -= 1.0;
             }
+            // In-flight chunks that joined the node by epoch k count only
+            // where no buffer variable carries them (buffered nodes absorb
+            // arrivals in the buffer-evolution rows).
             for (fs, fc, fnode, vis) in &options.in_flight {
                 if fs.0 == s
                     && *fc == c
                     && fnode.0 == n
                     && *vis <= k
-                    && !self.b_vars.contains_key(&(s, c, n, k.max(1)))
+                    && !b_vars.contains_key(&(s, c, n, k.max(1)))
                 {
                     rhs -= 1.0;
                 }
             }
-            self.model.cons[row].rhs = rhs;
+            model.cons[row].rhs = rhs;
         }
         for &(row, (s, c, n, k)) in &self.buf_rows {
             let mut rhs = 0.0;
-            if k == 1 {
-                rhs += init_buffer(NodeId(s), c, NodeId(n));
+            if k == 1 && holds(holders, NodeId(s), c, NodeId(n)) {
+                rhs += 1.0;
             }
             for (fs, fc, fnode, vis) in &options.in_flight {
                 if fs.0 == s && *fc == c && fnode.0 == n && *vis == k {
                     rhs += 1.0;
                 }
             }
-            self.model.cons[row].rhs = rhs;
+            model.cons[row].rhs = rhs;
         }
-
-        self.initial_holders = initial_holders;
-        true
     }
 
     /// Solves the MILP with the limits taken from `config`, optionally
@@ -868,6 +732,64 @@ impl MilpFormulation {
     }
 }
 
+/// Rejects a demand no formulation can schedule on `topology`: an empty
+/// one, one over a different node count, or one with a switch endpoint.
+pub(crate) fn check_demand(topology: &Topology, demand: &DemandMatrix) -> Result<(), TeCclError> {
+    if demand.is_empty() {
+        return Err(TeCclError::EmptyDemand);
+    }
+    if demand.num_nodes != topology.num_nodes() {
+        return Err(TeCclError::InvalidDemand(format!(
+            "demand is over {} nodes but the topology has {}",
+            demand.num_nodes,
+            topology.num_nodes()
+        )));
+    }
+    for (s, _c, d) in demand.iter() {
+        if topology.is_switch(s) || topology.is_switch(d) {
+            return Err(TeCclError::InvalidDemand(format!(
+                "demand endpoints must be GPUs (got {s} -> {d})"
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// The nodes holding each `(source, chunk)` commodity at epoch 0.
+type Holders = HashMap<(usize, usize), Vec<NodeId>>;
+
+/// The commodities `(source, chunk)` in layout order and each one's holders
+/// at epoch 0: the GPU sources of the demand's chunks, in GPU order, then
+/// the `extra_initial` holders (a commodity only they hold is appended).
+fn commodities_and_holders(
+    topology: &Topology,
+    demand: &DemandMatrix,
+    extra_initial: &[(NodeId, usize, NodeId)],
+) -> (Vec<(NodeId, usize)>, Holders) {
+    let mut commodities: Vec<(NodeId, usize)> = Vec::new();
+    let mut holders: Holders = HashMap::new();
+    for s in topology.gpus() {
+        for c in 0..demand.num_chunks {
+            if demand.chunk_in_use(s, c) {
+                commodities.push((s, c));
+                holders.insert((s.0, c), vec![s]);
+            }
+        }
+    }
+    for (s, c, holder) in extra_initial {
+        holders.entry((s.0, *c)).or_default().push(*holder);
+        if !commodities.contains(&(*s, *c)) {
+            commodities.push((*s, *c));
+        }
+    }
+    (commodities, holders)
+}
+
+/// Whether `n` holds chunk `(s, c)` at epoch 0.
+fn holds(holders: &Holders, s: NodeId, c: usize, n: NodeId) -> bool {
+    holders.get(&(s.0, c)).is_some_and(|h| h.contains(&n))
+}
+
 /// Solves a formulation's model under `config`'s limits and `budget`, and
 /// maps the terminal statuses to errors: infeasible at `num_epochs` (the
 /// caller may retry with more epochs), unbounded or out of limits with no
@@ -882,7 +804,6 @@ pub(crate) fn solve_formulation(
     let milp_config = MilpConfig {
         rel_gap: config.early_stop_gap.unwrap_or(1e-6),
         time_limit: config.time_limit.or(Some(Duration::from_secs(600))),
-        warm_start: config.warm_start,
         budget: budget.cloned(),
         ..Default::default()
     };
@@ -900,6 +821,18 @@ mod tests {
     use crate::config::SolverConfig;
     use teccl_topology::{fig1c, line_topology};
 
+    /// Builds at 1 MB chunks and 1 ms epochs (one chunk per epoch over the
+    /// 1 GB/s test links).
+    fn build(
+        topo: &Topology,
+        demand: &DemandMatrix,
+        config: &SolverConfig,
+        num_epochs: usize,
+        options: &MilpBuildOptions,
+    ) -> Result<MilpFormulation, TeCclError> {
+        MilpFormulation::build(topo, demand, 1e6, config, num_epochs, 1e-3, options)
+    }
+
     fn broadcast_on_line() -> (Topology, DemandMatrix) {
         let topo = line_topology(3, 1e9, 0.0);
         let gpus: Vec<NodeId> = topo.gpus().collect();
@@ -911,17 +844,7 @@ mod tests {
     fn broadcast_line_solves_and_relays() {
         let (topo, demand) = broadcast_on_line();
         let config = SolverConfig::default();
-        let tau = 1e-3; // 1 MB chunks over 1 GB/s
-        let form = MilpFormulation::build(
-            &topo,
-            &demand,
-            1e6,
-            &config,
-            4,
-            tau,
-            &MilpBuildOptions::default(),
-        )
-        .unwrap();
+        let form = build(&topo, &demand, &config, 4, &MilpBuildOptions::default()).unwrap();
         let sol = form.solve_budgeted(&config, None, None).unwrap();
         let sends = form.sends(&sol);
         // The chunk must cross 0->1 and 1->2 (it may also be copied elsewhere,
@@ -942,16 +865,7 @@ mod tests {
         let (topo, demand) = broadcast_on_line();
         let config = SolverConfig::default();
         // One epoch cannot deliver over two hops.
-        let form = MilpFormulation::build(
-            &topo,
-            &demand,
-            1e6,
-            &config,
-            1,
-            1e-3,
-            &MilpBuildOptions::default(),
-        )
-        .unwrap();
+        let form = build(&topo, &demand, &config, 1, &MilpBuildOptions::default()).unwrap();
         assert!(matches!(
             form.solve_budgeted(&config, None, None),
             Err(TeCclError::InfeasibleWithEpochs(1))
@@ -968,16 +882,7 @@ mod tests {
             demand.set(NodeId(0), 0, NodeId(d));
         }
         let config = SolverConfig::default();
-        let form = MilpFormulation::build(
-            &topo,
-            &demand,
-            1e6,
-            &config,
-            4,
-            1e-3,
-            &MilpBuildOptions::default(),
-        )
-        .unwrap();
+        let form = build(&topo, &demand, &config, 4, &MilpBuildOptions::default()).unwrap();
         let sol = form.solve_budgeted(&config, None, None).unwrap();
         let sends = form.sends(&sol);
         let upstream = sends
@@ -1000,13 +905,11 @@ mod tests {
     fn empty_demand_rejected() {
         let topo = line_topology(2, 1e9, 0.0);
         let demand = DemandMatrix::new(2, 1);
-        let err = MilpFormulation::build(
+        let err = build(
             &topo,
             &demand,
-            1e6,
             &SolverConfig::default(),
             2,
-            1e-3,
             &MilpBuildOptions::default(),
         )
         .unwrap_err();
@@ -1023,13 +926,11 @@ mod tests {
         topo.add_bilink(sw, b, 1e9, 0.0);
         let mut demand = DemandMatrix::new(3, 1);
         demand.set(a, 0, sw);
-        let err = MilpFormulation::build(
+        let err = build(
             &topo,
             &demand,
-            1e6,
             &SolverConfig::default(),
             3,
-            1e-3,
             &MilpBuildOptions::default(),
         )
         .unwrap_err();
@@ -1040,13 +941,11 @@ mod tests {
     fn node_count_mismatch_rejected() {
         let topo = line_topology(3, 1e9, 0.0);
         let demand = DemandMatrix::all_gather(4, &[NodeId(0), NodeId(1)], 1);
-        let err = MilpFormulation::build(
+        let err = build(
             &topo,
             &demand,
-            1e6,
             &SolverConfig::default(),
             3,
-            1e-3,
             &MilpBuildOptions::default(),
         )
         .unwrap_err();
@@ -1066,16 +965,7 @@ mod tests {
         let mut demand = DemandMatrix::new(3, 1);
         demand.set(a, 0, c);
         let config = SolverConfig::default();
-        let form = MilpFormulation::build(
-            &topo,
-            &demand,
-            1e6,
-            &config,
-            6,
-            1e-3,
-            &MilpBuildOptions::default(),
-        )
-        .unwrap();
+        let form = build(&topo, &demand, &config, 6, &MilpBuildOptions::default()).unwrap();
         let sol = form.solve_budgeted(&config, None, None).unwrap();
         let sends = form.sends(&sol);
         let hop2 = sends.iter().find(|s| s.from == b && s.to == c).unwrap();
@@ -1092,16 +982,7 @@ mod tests {
     fn buffer_values_follow_flows() {
         let (topo, demand) = broadcast_on_line();
         let config = SolverConfig::default();
-        let form = MilpFormulation::build(
-            &topo,
-            &demand,
-            1e6,
-            &config,
-            4,
-            1e-3,
-            &MilpBuildOptions::default(),
-        )
-        .unwrap();
+        let form = build(&topo, &demand, &config, 4, &MilpBuildOptions::default()).unwrap();
         let sol = form.solve_budgeted(&config, None, None).unwrap();
         // The middle node eventually buffers the chunk (it demands it).
         assert!(form.buffer_value(&sol, NodeId(0), 0, NodeId(1), 4) > 0.5);
@@ -1114,16 +995,7 @@ mod tests {
     fn limited_buffer_mode_builds_and_solves() {
         let (topo, demand) = broadcast_on_line();
         let config = SolverConfig::default().with_buffer_mode(BufferMode::LimitedChunks(1));
-        let form = MilpFormulation::build(
-            &topo,
-            &demand,
-            1e6,
-            &config,
-            5,
-            1e-3,
-            &MilpBuildOptions::default(),
-        )
-        .unwrap();
+        let form = build(&topo, &demand, &config, 5, &MilpBuildOptions::default()).unwrap();
         let sol = form.solve_budgeted(&config, None, None).unwrap();
         assert!(form.read_value(&sol, NodeId(0), 0, NodeId(2), 4) > 0.5);
     }
@@ -1132,16 +1004,7 @@ mod tests {
     fn no_store_and_forward_mode_still_relays() {
         let (topo, demand) = broadcast_on_line();
         let config = SolverConfig::default().with_buffer_mode(BufferMode::NoStoreAndForward);
-        let form = MilpFormulation::build(
-            &topo,
-            &demand,
-            1e6,
-            &config,
-            4,
-            1e-3,
-            &MilpBuildOptions::default(),
-        )
-        .unwrap();
+        let form = build(&topo, &demand, &config, 4, &MilpBuildOptions::default()).unwrap();
         // Node 1 demands the chunk itself, so it may hold it; node 2 receives
         // it relayed. The problem stays feasible.
         let sol = form.solve_budgeted(&config, None, None).unwrap();
@@ -1157,7 +1020,7 @@ mod tests {
             ..Default::default()
         };
         // Even with 1 epoch (not enough to deliver), the relaxed model solves.
-        let form = MilpFormulation::build(&topo, &demand, 1e6, &config, 1, 1e-3, &options).unwrap();
+        let form = build(&topo, &demand, &config, 1, &options).unwrap();
         let sol = form.solve_budgeted(&config, None, None).unwrap();
         assert!(sol.has_solution());
     }
@@ -1171,7 +1034,7 @@ mod tests {
             extra_initial: vec![(NodeId(0), 0, NodeId(1))],
             ..Default::default()
         };
-        let form = MilpFormulation::build(&topo, &demand, 1e6, &config, 2, 1e-3, &options).unwrap();
+        let form = build(&topo, &demand, &config, 2, &options).unwrap();
         let sol = form.solve_budgeted(&config, None, None).unwrap();
         assert!(form.read_value(&sol, NodeId(0), 0, NodeId(2), 1) > 0.5);
     }
@@ -1180,16 +1043,7 @@ mod tests {
     fn unreachable_epochs_are_bound_fixed_not_elided() {
         let (topo, demand) = broadcast_on_line();
         let config = SolverConfig::default();
-        let form = MilpFormulation::build(
-            &topo,
-            &demand,
-            1e6,
-            &config,
-            4,
-            1e-3,
-            &MilpBuildOptions::default(),
-        )
-        .unwrap();
+        let form = build(&topo, &demand, &config, 4, &MilpBuildOptions::default()).unwrap();
         // Every link gets a flow variable for every epoch (stable layout)…
         assert_eq!(
             form.num_integer_vars(),
@@ -1213,10 +1067,49 @@ mod tests {
         assert!(fixed > 0);
     }
 
+    /// Builds with `round0`, updates in place to `round1`, and asserts the
+    /// result equals a fresh `round1` build element for element (names,
+    /// bounds, objective, rhs); returns the updated formulation.
+    fn assert_update_matches_build(
+        topo: &Topology,
+        demand: &DemandMatrix,
+        config: &SolverConfig,
+        round0: &MilpBuildOptions,
+        round1: &MilpBuildOptions,
+    ) -> MilpFormulation {
+        let mut updated = build(topo, demand, config, 4, round0).unwrap();
+        assert!(updated.update_round(demand, config, round1));
+        let fresh = build(topo, demand, config, 4, round1).unwrap();
+        assert_eq!(updated.model.num_vars(), fresh.model.num_vars());
+        assert_eq!(updated.model.num_cons(), fresh.model.num_cons());
+        for (u, f) in updated.model.vars.iter().zip(&fresh.model.vars) {
+            assert_eq!(u.name, f.name);
+            assert_eq!(
+                (u.lb, u.ub, u.obj),
+                (f.lb, f.ub, f.obj),
+                "var {} differs after in-place update",
+                u.name
+            );
+        }
+        for (u, f) in updated.model.cons.iter().zip(&fresh.model.cons) {
+            assert_eq!(u.name, f.name);
+            assert_eq!(
+                u.rhs, f.rhs,
+                "cons {} rhs differs after in-place update",
+                u.name
+            );
+        }
+        let a = updated.solve_budgeted(config, None, None).unwrap();
+        let b = fresh.solve_budgeted(config, None, None).unwrap();
+        assert!((a.objective - b.objective).abs() < 1e-9);
+        updated
+    }
+
     /// The A* warm-round fast path: rewriting bounds / rhs / objective in
     /// place must produce *exactly* the model a fresh build would — element
     /// for element — for round state exercising every updated site (extra
-    /// holders, in-flight arrivals, terminal rewards, frozen commodities).
+    /// holders, in-flight arrivals, terminal rewards, frozen commodities),
+    /// with unlimited and limited buffers and through a switch.
     #[test]
     fn update_round_matches_fresh_build() {
         let topo = line_topology(4, 1e9, 0.0);
@@ -1239,32 +1132,7 @@ mod tests {
             frozen: vec![(NodeId(0), 1)],
             ..Default::default()
         };
-        let mut updated =
-            MilpFormulation::build(&topo, &demand, 1e6, &config, 4, 1e-3, &round0).unwrap();
-        assert!(updated.update_round(&demand, &config, &round1));
-        let fresh = MilpFormulation::build(&topo, &demand, 1e6, &config, 4, 1e-3, &round1).unwrap();
-        assert_eq!(updated.model.num_vars(), fresh.model.num_vars());
-        assert_eq!(updated.model.num_cons(), fresh.model.num_cons());
-        for (u, f) in updated.model.vars.iter().zip(&fresh.model.vars) {
-            assert_eq!(u.name, f.name);
-            assert_eq!(
-                (u.lb, u.ub, u.obj),
-                (f.lb, f.ub, f.obj),
-                "var {} differs after in-place update",
-                u.name
-            );
-        }
-        for (u, f) in updated.model.cons.iter().zip(&fresh.model.cons) {
-            assert_eq!(u.name, f.name);
-            assert_eq!(
-                u.rhs, f.rhs,
-                "cons {} rhs differs after in-place update",
-                u.name
-            );
-        }
-        let a = updated.solve_budgeted(&config, None, None).unwrap();
-        let b = fresh.solve_budgeted(&config, None, None).unwrap();
-        assert!((a.objective - b.objective).abs() < 1e-9);
+        let mut updated = assert_update_matches_build(&topo, &demand, &config, &round0, &round1);
         // Layout-changing inputs refuse the in-place path instead of
         // corrupting the cached model.
         let wider = DemandMatrix::broadcast(4, &gpus, NodeId(0), 3);
@@ -1274,5 +1142,40 @@ mod tests {
             ..round1.clone()
         };
         assert!(!updated.update_round(&demand, &config, &completing));
+
+        // Limited buffers add eviction variables and `buflimit` rows.
+        let limited = SolverConfig::default().with_buffer_mode(BufferMode::LimitedChunks(2));
+        let updated = assert_update_matches_build(&topo, &demand, &limited, &round0, &round1);
+        assert!(updated.model.vars.iter().any(|v| v.name.starts_with("X[")));
+        assert!(updated
+            .model
+            .cons
+            .iter()
+            .any(|c| c.name.starts_with("buflimit[")));
+
+        // A switch has flow but no buffer variables: in-flight chunks and
+        // first-epoch pins meet unbuffered nodes.
+        let mut topo = Topology::new("star");
+        let sw = topo.add_switch("s", 0);
+        let g: Vec<NodeId> = (0..3).map(|i| topo.add_gpu(format!("g{i}"), 0)).collect();
+        for &n in &g {
+            topo.add_bilink(n, sw, 1e9, 0.0);
+        }
+        topo.add_bilink(g[0], g[1], 1e9, 0.0);
+        let demand = DemandMatrix::all_gather(topo.num_nodes(), &g, 1);
+        let round0 = MilpBuildOptions {
+            relax_completion: true,
+            terminal_rewards: vec![(g[0], 0, g[2], 0.25)],
+            ..Default::default()
+        };
+        let round1 = MilpBuildOptions {
+            relax_completion: true,
+            extra_initial: vec![(g[0], 0, g[1]), (g[0], 0, g[2])],
+            in_flight: vec![(g[1], 0, g[2], 1)],
+            terminal_rewards: vec![(g[1], 0, g[0], 0.5), (g[2], 0, g[1], 0.125)],
+            frozen: vec![(g[0], 0)],
+            ..Default::default()
+        };
+        assert_update_matches_build(&topo, &demand, &config, &round0, &round1);
     }
 }

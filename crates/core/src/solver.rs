@@ -12,7 +12,7 @@ use teccl_util::SolveBudget;
 
 use crate::astar::solve_astar_budgeted;
 use crate::config::{SolverConfig, SwitchModel};
-use crate::epochs::{delta_epochs, epoch_duration, estimate_num_epochs, kappa_epochs};
+use crate::epochs::{effective_delay, epoch_duration, estimate_num_epochs};
 use crate::error::TeCclError;
 use crate::extract::{prune_sends, schedule_from_sends};
 use crate::lp_form::LpFormulation;
@@ -67,6 +67,18 @@ impl Method {
             "astar" => Method::AStar,
             _ => return None,
         })
+    }
+
+    /// The formulation this method runs for `demand` on `topology`; never
+    /// [`Method::Auto`]. Auto picks the LP for copy-free demands, otherwise
+    /// the MILP up to 12 GPUs and A* above.
+    pub fn resolve(self, demand: &DemandMatrix, topology: &Topology) -> Method {
+        match self {
+            Method::Auto if !demand.benefits_from_copy() => Method::Lp,
+            Method::Auto if topology.num_gpus() > ASTAR_GPU_THRESHOLD => Method::AStar,
+            Method::Auto => Method::Milp,
+            m => m,
+        }
     }
 }
 
@@ -196,12 +208,7 @@ impl TeCcl {
         method: Method,
         basis: Option<&SimplexBasis>,
     ) -> Result<SolveOutcome, TeCclError> {
-        let method = match method {
-            Method::Auto if !demand.benefits_from_copy() => Method::Lp,
-            Method::Auto if self.topology.num_gpus() > ASTAR_GPU_THRESHOLD => Method::AStar,
-            Method::Auto => Method::Milp,
-            m => m,
-        };
+        let method = method.resolve(demand, &self.topology);
         let start = Instant::now();
         let (topo, groups, tau, k0) = self.prepare(demand, chunk_bytes);
         let budget = self.budget.as_ref();
@@ -210,7 +217,7 @@ impl TeCcl {
                 solve_astar_budgeted(&topo, demand, chunk_bytes, &self.config, tau, basis, budget)?;
             let delta_of = |a, b| {
                 topo.link_between(a, b)
-                    .map(|l| delta_epochs(l, tau) + kappa_epochs(l, chunk_bytes, tau) - 1)
+                    .map(|l| effective_delay(l, chunk_bytes, tau))
                     .unwrap_or(0)
             };
             let pruned = prune_sends(&out.sends, demand, &out.initial_holders, delta_of);
@@ -344,6 +351,7 @@ mod tests {
         let topo = ring_topology(3, 1e9, 0.0);
         let gpus: Vec<NodeId> = topo.gpus().collect();
         let demand = DemandMatrix::all_gather(3, &gpus, 1);
+        assert_eq!(Method::Auto.resolve(&demand, &topo), Method::Milp);
         let solver = TeCcl::new(topo, SolverConfig::default());
         let out = solver.solve(&demand, 1e6, Method::Auto, None).unwrap();
         assert_eq!(out.formulation, FormulationKind::GeneralMilp);
@@ -355,10 +363,25 @@ mod tests {
         let topo = ring_topology(4, 1e9, 0.0);
         let gpus: Vec<NodeId> = topo.gpus().collect();
         let demand = DemandMatrix::all_to_all(4, &gpus, 1);
+        assert_eq!(Method::Auto.resolve(&demand, &topo), Method::Lp);
         let solver = TeCcl::new(topo, SolverConfig::default());
         let out = solver.solve(&demand, 1e6, Method::Auto, None).unwrap();
         assert_eq!(out.formulation, FormulationKind::Lp);
         check_outcome(&out, &demand);
+    }
+
+    #[test]
+    fn auto_dispatch_allgather_uses_astar_above_12_gpus() {
+        for (n, route) in [(12, Method::Milp), (13, Method::AStar)] {
+            let topo = ring_topology(n, 1e9, 0.0);
+            let gpus: Vec<NodeId> = topo.gpus().collect();
+            let demand = DemandMatrix::all_gather(n, &gpus, 1);
+            assert_eq!(Method::Auto.resolve(&demand, &topo), route, "{n} GPUs");
+            // An explicit method is never re-routed.
+            for m in [Method::Milp, Method::Lp, Method::AStar] {
+                assert_eq!(m.resolve(&demand, &topo), m);
+            }
+        }
     }
 
     #[test]

@@ -340,7 +340,9 @@ fn hash_config(h: &mut StableHasher, c: &SolverConfig) {
     h.write_i64(c.astar_epochs_per_round.map(|e| e as i64).unwrap_or(-1));
     h.write_f64_quantized(c.astar_gamma, 1e9);
     h.write_usize(c.astar_max_rounds);
-    h.write_u64(c.warm_start as u64);
+    // Where the retired `warm_start` flag (always on) was hashed: keeps
+    // every key stable.
+    h.write_u64(1);
     h.write_u64(c.astar_warm_rounds as u64);
     match &c.chunk_priorities {
         None => {
@@ -386,7 +388,6 @@ pub fn config_to_json(c: &SolverConfig) -> Value {
         ),
         ("astar_gamma", Value::from(c.astar_gamma)),
         ("astar_max_rounds", Value::from(c.astar_max_rounds)),
-        ("warm_start", Value::from(c.warm_start)),
         ("astar_warm_rounds", Value::from(c.astar_warm_rounds)),
     ];
     if let Some(k) = c.max_epochs {
@@ -395,9 +396,13 @@ pub fn config_to_json(c: &SolverConfig) -> Value {
     if let Some(g) = c.early_stop_gap {
         pairs.push(("early_stop_gap", Value::from(g)));
     }
-    if let Some(d) = c.time_limit {
-        pairs.push(("time_limit_s", Value::from(d.as_secs_f64())));
-    }
+    // `null` keeps "no time limit" distinct from an absent field, which
+    // parses as the default limit.
+    pairs.push((
+        "time_limit_s",
+        c.time_limit
+            .map_or(Value::Null, |d| Value::from(d.as_secs_f64())),
+    ));
     if let Some(e) = c.astar_epochs_per_round {
         pairs.push(("astar_epochs_per_round", Value::from(e)));
     }
@@ -454,12 +459,16 @@ pub fn config_from_json(v: &Value) -> Result<SolverConfig, JsonError> {
     if let Some(g) = v.get("early_stop_gap") {
         c.early_stop_gap = Some(g.as_f64().ok_or(bad("bad early_stop_gap"))?);
     }
-    if let Some(d) = v.get("time_limit_s") {
-        let secs = d
-            .as_f64()
-            .filter(|s| *s > 0.0)
-            .ok_or(bad("bad time_limit_s"))?;
-        c.time_limit = Some(std::time::Duration::from_secs_f64(secs));
+    match v.get("time_limit_s") {
+        None => {}
+        Some(Value::Null) => c.time_limit = None,
+        Some(d) => {
+            let secs = d
+                .as_f64()
+                .filter(|s| *s > 0.0)
+                .ok_or(bad("bad time_limit_s"))?;
+            c.time_limit = Some(std::time::Duration::from_secs_f64(secs));
+        }
     }
     if let Some(e) = v.get("astar_epochs_per_round") {
         c.astar_epochs_per_round = Some(e.as_usize().ok_or(bad("bad astar_epochs_per_round"))?);
@@ -469,9 +478,6 @@ pub fn config_from_json(v: &Value) -> Result<SolverConfig, JsonError> {
     }
     if let Some(r) = v.get("astar_max_rounds").and_then(Value::as_usize) {
         c.astar_max_rounds = r;
-    }
-    if let Some(w) = v.get("warm_start").and_then(Value::as_bool) {
-        c.warm_start = w;
     }
     if let Some(w) = v.get("astar_warm_rounds").and_then(Value::as_bool) {
         c.astar_warm_rounds = w;
@@ -574,12 +580,17 @@ mod tests {
         req.config.max_epochs = Some(9);
         req.config.early_stop_gap = Some(0.3);
         req.config.buffer_mode = teccl_core::BufferMode::LimitedChunks(4);
-        let v = req.to_json_value();
-        let back = SolveRequest::from_json_value(&v).unwrap();
-        assert_eq!(back.key(), req.key());
-        assert_eq!(back.chunks, req.chunks);
-        assert_eq!(back.method, req.method);
-        assert_eq!(back.config.max_epochs, Some(9));
+        let mut no_limit = base_request();
+        no_limit.config.time_limit = None;
+        for req in [req, no_limit] {
+            let v = req.to_json_value();
+            let back = SolveRequest::from_json_value(&v).unwrap();
+            assert_eq!(back.key(), req.key());
+            assert_eq!(back.chunks, req.chunks);
+            assert_eq!(back.method, req.method);
+            assert_eq!(back.config.max_epochs, req.config.max_epochs);
+            assert_eq!(back.config.time_limit, req.config.time_limit);
+        }
     }
 
     #[test]
@@ -631,8 +642,8 @@ mod tests {
         SolveRequest::from_json_value(&Value::parse(&doc).unwrap()).unwrap()
     }
 
-    // Older clients still send the retired intra-solve knobs `threads` and
-    // `decompose`; they parse like any other unknown config field and leave
+    // Older clients still send the retired knobs `threads`, `decompose` and
+    // `warm_start`; they parse like any other unknown config field and leave
     // the key unchanged.
 
     #[test]
@@ -642,6 +653,10 @@ mod tests {
         assert_eq!(with_legacy_config(r#""threads":4"#).key(), plain.key());
         assert_eq!(
             with_legacy_config(r#""threads":4,"decompose":"on""#).key(),
+            plain.key()
+        );
+        assert_eq!(
+            with_legacy_config(r#""warm_start":false"#).key(),
             plain.key()
         );
     }

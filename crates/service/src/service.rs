@@ -314,6 +314,39 @@ struct State {
     shutdown: bool,
 }
 
+impl State {
+    /// Replies to `tx` from the in-memory cache, or joins it onto the
+    /// in-flight solve of the same key; hands `tx` back when neither
+    /// applies. A degraded entry only satisfies deadline-bearing callers; a
+    /// patient caller re-solves for the exact answer (coalescing onto the
+    /// background upgrade if one is in flight).
+    fn serve_or_join(
+        &mut self,
+        key: RequestKey,
+        has_deadline: bool,
+        tx: Sender<Reply>,
+    ) -> Option<Sender<Reply>> {
+        if let Some(entry) = self.cache.get(key.hash) {
+            if entry.quality == Quality::Exact || has_deadline {
+                self.stats.hits += 1;
+                if entry.quality != Quality::Exact {
+                    self.stats.degraded += 1;
+                }
+                self.stats.cached_entries = self.cache.len() as u64;
+                let quality = entry.quality;
+                let _ = tx.send(Ok((entry, CacheStatus::Hit, quality)));
+                return None;
+            }
+        }
+        if let Some(waiters) = self.inflight.get_mut(&key.hash) {
+            waiters.push((tx, CacheStatus::Coalesced));
+            self.stats.coalesced += 1;
+            return None;
+        }
+        Some(tx)
+    }
+}
+
 struct Inner {
     state: Mutex<State>,
     work: Condvar,
@@ -401,40 +434,21 @@ impl ScheduleService {
         self.ensure_workers();
         let key = request.key();
         let (tx, rx) = channel();
-        let disk = {
+        let (disk, tx) = {
             let mut st = lock_recover(&self.inner.state, LockRank::State);
             st.stats.requests += 1;
             if st.shutdown {
                 let _ = tx.send(Err(ServiceError::ShuttingDown));
                 return Ticket { rx };
             }
-            // 1. In-memory hit: reply immediately, no solver, no queue.
-            //    A degraded entry only satisfies deadline-bearing callers; a
-            //    patient caller re-solves for the exact answer (coalescing
-            //    onto the background upgrade if one is in flight).
-            if let Some(entry) = st.cache.get(key.hash) {
-                if entry.quality == Quality::Exact || request.deadline.is_some() {
-                    st.stats.hits += 1;
-                    if entry.quality != Quality::Exact {
-                        st.stats.degraded += 1;
-                    }
-                    st.stats.cached_entries = st.cache.len() as u64;
-                    let quality = entry.quality;
-                    let _ = tx.send(Ok((entry, CacheStatus::Hit, quality)));
-                    return Ticket { rx };
-                }
-            }
-            // 2. Single-flight: an identical solve is already running or
-            //    queued (checked before the disk probe so joiners never pay
-            //    for IO).
-            if let Some(waiters) = st.inflight.get_mut(&key.hash) {
-                waiters.push((tx, CacheStatus::Coalesced));
-                st.stats.coalesced += 1;
+            // 1-2. In-memory hit or single-flight join, checked before the
+            //      disk probe so neither pays for IO.
+            let Some(tx) = st.serve_or_join(key, request.deadline.is_some(), tx) else {
                 return Ticket { rx };
-            }
+            };
             // 3. No disk store: this request owns the solve.
             match self.inner.disk.as_ref() {
-                Some(d) => d,
+                Some(d) => (d, tx),
                 None => return self.enqueue_miss(st, request, key, tx, rx),
             }
         };
@@ -465,24 +479,10 @@ impl ScheduleService {
         }
         // Nothing on disk. The world may have moved while we probed:
         // re-check memory and in-flight before owning the solve.
-        if let Some(entry) = st.cache.get(key.hash) {
-            if entry.quality == Quality::Exact || request.deadline.is_some() {
-                st.stats.hits += 1;
-                if entry.quality != Quality::Exact {
-                    st.stats.degraded += 1;
-                }
-                st.stats.cached_entries = st.cache.len() as u64;
-                let quality = entry.quality;
-                let _ = tx.send(Ok((entry, CacheStatus::Hit, quality)));
-                return Ticket { rx };
-            }
+        match st.serve_or_join(key, request.deadline.is_some(), tx) {
+            Some(tx) => self.enqueue_miss(st, request, key, tx, rx),
+            None => Ticket { rx },
         }
-        if let Some(waiters) = st.inflight.get_mut(&key.hash) {
-            waiters.push((tx, CacheStatus::Coalesced));
-            st.stats.coalesced += 1;
-            return Ticket { rx };
-        }
-        self.enqueue_miss(st, request, key, tx, rx)
     }
 
     /// Registers `tx` as the owner of a fresh solve and queues the job.
